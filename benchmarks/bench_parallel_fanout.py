@@ -293,14 +293,15 @@ def measure_sparse(dataset, index, n_queries: int = B_SPARSE):
     density = float(sizes.mean() / union.size)
     index.datastore.charge_pages_for(candidates)
 
+    def run_refine():
+        return index.pipeline.refine_prefetched(candidates, queries, K).refined
+
     results = {}
     timings = {}
     for kernel in ("dense", "sparse"):
         index.config.refine_kernel = kernel
-        results[kernel] = index._refine_batch(candidates, queries, K)
-        timings[kernel] = _best_of(
-            lambda: index._refine_batch(candidates, queries, K)
-        )
+        results[kernel] = run_refine()
+        timings[kernel] = _best_of(run_refine)
     for (a_ids, a_divs), (b_ids, b_divs) in zip(
         results["dense"], results["sparse"]
     ):
@@ -308,7 +309,9 @@ def measure_sparse(dataset, index, n_queries: int = B_SPARSE):
         np.testing.assert_array_equal(a_divs, b_divs)
 
     index.config.refine_kernel = "auto"
-    auto_choice = index._choose_refine_kernel(candidates, union.size, n_queries)
+    auto_choice = index.pipeline.stage("refine").choose_kernel(
+        candidates, union.size, n_queries
+    )
     return {
         "batch_size": n_queries,
         "mean_candidates": float(sizes.mean()),

@@ -110,11 +110,15 @@ def _best_of(fn, reps: int = REPS) -> float:
 def measure(dataset, index, batch_size: int) -> dict:
     queries = dataset.queries[:batch_size]
     candidates = filter_candidates(index, queries, K)
-    blocked = index._refine_batch(candidates, queries, K)
+
+    def run_blocked():
+        return index.pipeline.refine_prefetched(candidates, queries, K).refined
+
+    blocked = run_blocked()
     looped = index._refine_batch_looped(candidates, queries, K)
 
     loop_seconds = _best_of(lambda: index._refine_batch_looped(candidates, queries, K))
-    block_seconds = _best_of(lambda: index._refine_batch(candidates, queries, K))
+    block_seconds = _best_of(run_blocked)
 
     union = np.unique(np.concatenate(candidates)) if candidates else np.empty(0)
     return {
@@ -160,13 +164,14 @@ def measure_mid_density(dataset, index) -> dict:
     )
     index.datastore.charge_pages_for(candidates)
 
+    def run_refine():
+        return index.pipeline.refine_prefetched(candidates, queries, K).refined
+
     results, timings = {}, {}
     for kernel in ("dense", "sparse"):
         index.config.refine_kernel = kernel
-        results[kernel] = index._refine_batch(candidates, queries, K)
-        timings[kernel] = _best_of(
-            lambda: index._refine_batch(candidates, queries, K)
-        )
+        results[kernel] = run_refine()
+        timings[kernel] = _best_of(run_refine)
     index.config.refine_kernel = "auto"
     for (a_ids, a_divs), (b_ids, b_divs) in zip(
         results["dense"], results["sparse"]
@@ -180,7 +185,7 @@ def measure_mid_density(dataset, index) -> dict:
         "dense_seconds": timings["dense"],
         "sparse_seconds": timings["sparse"],
         "dense_speedup_vs_gather": timings["sparse"] / timings["dense"],
-        "auto_kernel": index._choose_refine_kernel(
+        "auto_kernel": index.pipeline.stage("refine").choose_kernel(
             candidates, union.size, MID_DENSITY_BATCH
         ),
     }

@@ -42,7 +42,7 @@ PAPER_SHAPES = {
         "the gain, so I/O is flat-to-slightly-rising and time rises with M "
         "(the Python tree-traversal term dominates).  The crossover the paper "
         "sees requires the strong per-point bound decay its full-scale real "
-        "datasets exhibit; see DESIGN.md Section 4."
+        "datasets exhibit (see repro.datasets.proxies for the proxy data)."
     ),
     "fig10": (
         "Paper: PCCP cuts I/O and running time by 20-30% over contiguous "
@@ -124,9 +124,10 @@ def _write_experiments_md(reports) -> None:
         "# EXPERIMENTS — paper vs. measured",
         "",
         "Generated by `python benchmarks/run_all.py` on the laptop-scale",
-        "proxies (see DESIGN.md §3 for the experiment index and §4 for the",
-        "data substitutions).  Absolute values are not comparable to the",
-        "paper (n is 2-4k here vs 50k-11M there; Python vs Java; simulated",
+        "proxies (the experiment index is `repro.eval.experiments`; the data",
+        "substitutions are documented in `repro.datasets.proxies`).  Absolute",
+        "values are not comparable to the paper (n is 2-4k here vs 50k-11M",
+        "there; Python vs Java; simulated",
         "disk vs SSD); the *shapes* are the reproduction target and each",
         "section states what reproduced and what deviates.",
         "",

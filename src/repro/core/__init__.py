@@ -6,10 +6,8 @@ from .index import BrePartitionIndex
 from .results import BatchQueryStats, BatchSearchResult, QueryStats, SearchResult
 from .snapshot import BaseState, DeltaBuffer, DeltaView, IndexSnapshot, MergeStats
 from .transforms import (
-    SearchBounds,
     SearchBoundsBatch,
     SubspaceTransforms,
-    determine_search_bounds,
     determine_search_bounds_batch,
 )
 
@@ -28,8 +26,6 @@ __all__ = [
     "IndexSnapshot",
     "MergeStats",
     "SubspaceTransforms",
-    "SearchBounds",
     "SearchBoundsBatch",
-    "determine_search_bounds",
     "determine_search_bounds_batch",
 ]

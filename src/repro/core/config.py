@@ -95,10 +95,10 @@ class BrePartitionConfig:
         pool only when ``refine_workers > 1``, shared memory works and
         the batch clears the ``min_refine_rows_per_worker`` amortization
         floor -- otherwise serial.  All backends return
-        bitwise-identical results; single-query ``search`` always runs
-        serial.  Process workers never charge pages (Fetch already paid
-        for every candidate page), so per-scope I/O accounting is
-        unchanged.
+        bitwise-identical results; a one-query batch (so every
+        ``search`` call) always runs serial.  Process workers never
+        charge pages (Fetch already paid for every candidate page), so
+        per-scope I/O accounting is unchanged.
     refine_workers:
         Worker processes in the refinement pool (lazily spawned on the
         first process-backend batch, persistent across batches; see

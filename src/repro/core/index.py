@@ -8,20 +8,22 @@ Build pipeline (:meth:`BrePartitionIndex.build`, Algorithm 5):
    disk in the seed tree's leaf order;
 4. precompute the per-subspace point tuples ``P(x) = (alpha, gamma)``.
 
-Search pipeline (Algorithm 6): both :meth:`BrePartitionIndex.search`
-and :meth:`BrePartitionIndex.search_batch` are thin drivers over the
-staged pipeline in :mod:`repro.pipeline` -- Plan (bounds, radii, forest
-traversal), Fetch (page-union charging, shard fan-out), Refine
-(dense/sparse/auto expansion kernels) and Rerank (direct-kernel top-k)
-each transform one shared :class:`~repro.pipeline.QueryBatchContext`.
-The drivers only validate inputs, scope the I/O tracker, run the stage
-list, and fold the finished context into result records (per-stage wall
-time lands in ``stats.stage_seconds``).
+Search pipeline (Algorithm 6): :meth:`BrePartitionIndex.search_batch`
+runs the staged pipeline in :mod:`repro.pipeline` --
+Plan (bounds, radii, forest traversal), Fetch (page-union charging,
+shard fan-out), Refine (dense/sparse/auto expansion kernels) and Rerank
+(direct-kernel top-k) each transform one shared
+:class:`~repro.pipeline.QueryBatchContext`.  ``search_batch`` itself
+only validates inputs, scopes the I/O tracker, runs the stage list, and
+folds the finished context into result records (per-stage wall time
+lands in ``stats.stage_seconds``).  :meth:`BrePartitionIndex.search` is the same
+path at ``B = 1``.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import numbers
 import threading
 import time
 from typing import Optional
@@ -62,6 +64,18 @@ from .snapshot import (
 from .transforms import SubspaceTransforms
 
 __all__ = ["BrePartitionIndex"]
+
+
+def _check_k(k, n_live: int) -> int:
+    """``k`` as an int, rejecting bools, non-integers and out-of-range."""
+    if isinstance(k, (bool, np.bool_)) or not isinstance(k, numbers.Integral):
+        raise InvalidParameterError(
+            f"k must be in [1, {n_live}] and an integer, "
+            f"got {k!r} ({type(k).__name__})"
+        )
+    if not 1 <= k <= n_live:
+        raise InvalidParameterError(f"k must be in [1, {n_live}], got {k}")
+    return int(k)
 
 
 class BrePartitionIndex:
@@ -145,8 +159,8 @@ class BrePartitionIndex:
             failure_threshold=self.config.breaker_threshold,
             reset_seconds=self.config.breaker_reset_s,
         )
-        #: the staged Plan -> Fetch -> Refine -> Rerank engine both
-        #: search drivers (and the serving layer) run.
+        #: the staged Plan -> Fetch -> Refine -> Rerank engine that
+        #: search_batch (and through it search and the serving layer) runs.
         self.pipeline = SearchPipeline(self)
 
     # ------------------------------------------------------------------
@@ -189,8 +203,8 @@ class BrePartitionIndex:
         # Conditioner for the expansion-form refinement kernels: maps
         # candidates and queries into the kernels' well-conditioned
         # regime via the divergence's exact invariance (centring for
-        # SED/Mahalanobis, scaling for ISD/KL).  Both the single and the
-        # blocked path condition identically, preserving bitwise parity.
+        # SED/Mahalanobis, scaling for ISD/KL).  Conditioning is
+        # elementwise, so every block and pair layout scores bitwise alike.
         conditioner = self.divergence.refinement_conditioner(points)
         with self._mutate_lock:
             self._publish(
@@ -724,47 +738,30 @@ class BrePartitionIndex:
     def search(self, query: np.ndarray, k: int) -> SearchResult:
         """Exact kNN of ``query`` (ids and divergences, ascending).
 
-        Runs against one atomic :meth:`snapshot`, pinned to the query's
-        I/O scope: concurrent inserts/deletes/merges never tear the
-        arrays this search reads, and the result equals a search against
-        the exact update prefix the snapshot captured.
+        A thin wrapper over :meth:`search_batch` at ``B = 1``: the result
+        is ``search_batch(query[None], k)[0]``, except that
+        ``pages_read`` and ``stage_seconds`` report the whole call's
+        scope figures (what this query actually charged, after any
+        buffer pool).  A shard failure that ``shard_failure="partial"``
+        would record per query is raised instead, since a single query
+        has no partial result to return.  Like every batch, the search
+        runs against one pinned :meth:`snapshot`.
         """
         self._require_built()
         query = np.asarray(query, dtype=float)
-        self.divergence.validate_domain(query, "query")
-        snap = self.snapshot()
-        if not 1 <= k <= snap.n_live:
+        d = self.partitioning.dimensionality
+        if query.shape != (d,):
             raise InvalidParameterError(
-                f"k must be in [1, {snap.n_live}], got {k}"
+                f"query must have shape ({d},), got {query.shape}"
             )
-
-        scope = self.tracker.scope()
-        scope.pin(snap)
-        start = time.perf_counter()
-        try:
-            ctx = QueryBatchContext(
-                queries=query[None, :], k=k, single=True, scope=scope, snapshot=snap
-            )
-            self.pipeline.run(ctx)
-        finally:
-            elapsed = time.perf_counter() - start
-            io = self.tracker.finish_scope(scope)
-
-        candidates = ctx.candidates[0]
-        top_ids, exact = ctx.refined[0]
-        stats = QueryStats(
-            pages_read=io.pages_read,
-            cpu_seconds=elapsed,
-            n_candidates=int(candidates.size),
-            search_bound=float(ctx.bound_totals[0]),
-            per_subspace_candidates=ctx.forest_stats[0].per_subspace_candidates,
-            leaves_visited=ctx.forest_stats[0].leaves_visited,
-            points_evaluated=int(candidates.size),
-            stage_seconds=dict(ctx.stage_seconds),
-            delta_candidates=ctx.delta_candidates[0] if ctx.delta_candidates else 0,
-            epoch=snap.epoch,
-        )
-        return SearchResult(ids=top_ids, divergences=exact, stats=stats)
+        self.divergence.validate_domain(query, "query")
+        batch = self.search_batch(query[None, :], k)
+        if batch.failures:
+            raise batch.failures[0]
+        result = batch[0]
+        result.stats.pages_read = batch.stats.pages_read
+        result.stats.stage_seconds = batch.stats.stage_seconds
+        return result
 
     def search_batch(self, queries: np.ndarray, k: int) -> BatchSearchResult:
         """Exact kNN for a batch of queries in one vectorized pass.
@@ -801,10 +798,7 @@ class BrePartitionIndex:
                 f"got {queries.shape}"
             )
         self.divergence.validate_domain(queries, "query batch")
-        if not 1 <= k <= snap.n_live:
-            raise InvalidParameterError(
-                f"k must be in [1, {snap.n_live}], got {k}"
-            )
+        k = _check_k(k, snap.n_live)
         n_queries = queries.shape[0]
 
         # an explicit scope (not tracker-global state) makes this driver
@@ -880,62 +874,6 @@ class BrePartitionIndex:
             results=results, stats=batch_stats, failures=failures
         )
 
-    # ------------------------------------------------------------------
-    # stage delegates (benchmarks, kernel-parity tests, subclass hooks)
-    # ------------------------------------------------------------------
-
-    def _score_refinement(
-        self, vectors: np.ndarray, queries: np.ndarray
-    ) -> np.ndarray:
-        """Conditioned ``(n, B)`` expansion-kernel scores (Refine stage)."""
-        return self.pipeline.stage("refine").score_dense(vectors, queries)
-
-    def _score_refinement_grouped(
-        self,
-        vectors: np.ndarray,
-        queries: np.ndarray,
-        point_index: np.ndarray,
-        query_index: np.ndarray,
-    ) -> np.ndarray:
-        """Conditioned sparse pair scores (Refine stage)."""
-        return self.pipeline.stage("refine").score_sparse(
-            vectors, queries, point_index, query_index
-        )
-
-    def _choose_refine_kernel(
-        self, candidates: list, union_size: int, n_queries: int
-    ) -> str:
-        """Adaptive dense/sparse dispatch (Refine stage)."""
-        return self.pipeline.stage("refine").choose_kernel(
-            candidates, union_size, n_queries
-        )
-
-    def _rerank_topk(
-        self,
-        ids: np.ndarray,
-        scores: np.ndarray,
-        query: np.ndarray,
-        k: int,
-        gather,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Adaptive-buffer direct-kernel top-k (Rerank stage)."""
-        return self.pipeline.stage("rerank").topk(ids, scores, query, k, gather)
-
-    def _refine_batch(
-        self, candidates: list, queries: np.ndarray, k: int
-    ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Refine + Rerank over already-charged candidates.
-
-        Bitwise contract: returns exactly what
-        :meth:`_refine_batch_looped` returns under *any* kernel choice
-        -- dense columns are bitwise independent of batch composition
-        and blocking, sparse pair values are bitwise equal to the dense
-        entries, and ties resolve by ascending id through the shared
-        stable top-k.  Pages must already be charged; reads go through
-        ``peek``.
-        """
-        return self.pipeline.refine_prefetched(candidates, queries, k).refined
-
     def _refine_batch_looped(
         self, candidates: list, queries: np.ndarray, k: int
     ) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -944,17 +882,18 @@ class BrePartitionIndex:
 
         Kept for the bitwise-parity tests and
         ``benchmarks/bench_refinement_kernel.py``; must return exactly
-        what :meth:`_refine_batch` returns.  Like the staged engine it
-        assumes pages are already charged and reads through ``peek``.
+        what ``pipeline.refine_prefetched(...).refined`` returns.  Like
+        the staged engine it assumes pages are already charged and reads
+        through ``peek``.
         """
+        refine = self.pipeline.stage("refine")
+        rerank = self.pipeline.stage("rerank")
         refined = []
         for q, ids in enumerate(candidates):
             vectors = self.datastore.peek(ids)
-            scores = self._score_refinement(vectors, queries[q][None, :])[:, 0]
+            scores = refine.score_dense(vectors, queries[q][None, :])[:, 0]
             refined.append(
-                self._rerank_topk(
-                    ids, scores, queries[q], k, lambda sel: vectors[sel]
-                )
+                rerank.topk(ids, scores, queries[q], k, lambda sel: vectors[sel])
             )
         return refined
 
@@ -1012,12 +951,10 @@ class BrePartitionIndex:
             if self._refine_pool is not None:
                 self._refine_pool.shutdown()
 
-    def _adjust_radii(self, search_bounds, triples) -> np.ndarray:
-        """Hook for the approximate extension; exact search returns as-is."""
-        return search_bounds.radii
-
-    def _adjust_radii_batch(self, search_bounds, triples) -> np.ndarray:
-        """Batch analogue of :meth:`_adjust_radii`; exact search: as-is."""
+    def _adjust_radii_batch(self, search_bounds, triples, transforms) -> np.ndarray:
+        """Radius hook for the approximate extension; exact search keeps
+        Algorithm 4's radii.  ``transforms`` are the snapshot's, the
+        ones ``search_bounds.anchor_ids`` index into."""
         return search_bounds.radii
 
     # ------------------------------------------------------------------

@@ -3,9 +3,10 @@
 :class:`SubspaceTransforms` bundles, for every subspace of a
 partitioning: the restricted divergence, and the precomputed point
 summaries ``(alpha_x, gamma_x)`` for all ``n`` points.  At query time it
-produces the M query triples and the ``(n, M)`` matrix of Theorem-1
-upper bounds, from which :func:`determine_search_bounds` (Algorithm 4,
-``QBDetermine``) extracts the per-subspace range radii.
+produces a batch's ``(B, M)`` query triples and the ``(B, n, M)`` tensor
+of Theorem-1 upper bounds, from which
+:func:`determine_search_bounds_batch` (Algorithm 4, ``QBDetermine``)
+extracts every query's per-subspace range radii.
 """
 
 from __future__ import annotations
@@ -23,16 +24,15 @@ from ..partitioning.scheme import Partitioning
 __all__ = [
     "RADIUS_EPS",
     "SubspaceTransforms",
-    "SearchBounds",
     "SearchBoundsBatch",
-    "determine_search_bounds",
     "determine_search_bounds_batch",
     "pad_radii",
 ]
 
 #: relative slack added to range radii to absorb floating-point rounding
-#: in the bound computation (never excludes a true candidate).  Shared by
-#: the single-query and batch search paths so the two can never drift.
+#: in the bound computation (never excludes a true candidate).  Applied
+#: through :func:`pad_radii` to both the Algorithm-4 radii and the
+#: adjusted ones, so Plan's widening compares like with like.
 RADIUS_EPS = 1e-9
 
 
@@ -42,26 +42,12 @@ def pad_radii(radii: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class SearchBounds:
-    """Output of Algorithm 4: the per-subspace searching radii.
-
-    ``radii[i]`` is the i-th subspace's range-query radius (the
-    components of the k-th smallest total upper bound); ``total`` is
-    their sum, and ``anchor_id`` the point whose bound was selected.
-    """
-
-    radii: np.ndarray
-    total: float
-    anchor_id: int
-
-
-@dataclass
 class SearchBoundsBatch:
-    """Per-query searching radii for a whole batch.
+    """Output of Algorithm 4 for a batch: per-query searching radii.
 
-    ``radii[b, i]`` is query ``b``'s range radius in subspace ``i``;
-    ``totals[b]`` and ``anchor_ids[b]`` are the batch analogues of
-    :attr:`SearchBounds.total` and :attr:`SearchBounds.anchor_id`.
+    ``radii[b, i]`` is query ``b``'s range radius in subspace ``i`` (the
+    components of its k-th smallest total upper bound); ``totals[b]`` is
+    their sum, and ``anchor_ids[b]`` the point whose bound was selected.
     """
 
     radii: np.ndarray
@@ -120,22 +106,6 @@ class SubspaceTransforms:
         clone.gamma = np.concatenate([self.gamma, np.stack(gammas, axis=1)])
         return clone
 
-    def query_triples(self, query: np.ndarray) -> List[bd.QueryTriple]:
-        """Algorithm 3: the M per-subspace query triples."""
-        sub_queries = self.partitioning.split(query)
-        return [
-            bd.transform_query(sub_div, sub_query)
-            for sub_div, sub_query in zip(self.sub_divergences, sub_queries)
-        ]
-
-    def upper_bound_matrix(self, triples: List[bd.QueryTriple]) -> np.ndarray:
-        """Theorem 1 bounds for every (point, subspace) pair: shape (n, M)."""
-        columns = [
-            bd.batch_upper_bounds(self.alpha[:, i], self.gamma[:, i], triple)
-            for i, triple in enumerate(triples)
-        ]
-        return np.stack(columns, axis=1)
-
     def query_triples_batch(self, queries: np.ndarray) -> bd.QueryTripleBatch:
         """Vectorised Algorithm 3 for a query batch: ``(B, M)`` arrays."""
         queries = np.atleast_2d(np.asarray(queries, dtype=float))
@@ -153,10 +123,10 @@ class SubspaceTransforms:
     def upper_bound_tensor(self, triples: bd.QueryTripleBatch) -> np.ndarray:
         """Theorem 1 bounds for every (query, point, subspace): ``(B, n, M)``.
 
-        One broadcasted pass replaces ``B`` calls to
-        :meth:`upper_bound_matrix`; the additions follow the same
-        left-to-right order as :func:`repro.geometry.bounds.batch_upper_bounds`
-        so batch and single-query bounds agree.
+        One broadcasted pass over the batch; the additions follow the
+        same left-to-right order as
+        :func:`repro.geometry.bounds.batch_upper_bounds`, so each query's
+        slice agrees with that function's per-subspace bounds.
         """
         alpha_q = triples.alpha[:, None, :]
         beta_q = triples.beta_yy[:, None, :]
@@ -169,33 +139,16 @@ class SubspaceTransforms:
         )
 
 
-def determine_search_bounds(ub_matrix: np.ndarray, k: int) -> SearchBounds:
-    """Algorithm 4 (``QBDetermine``): pick the k-th smallest total bound.
-
-    The selected point's per-subspace components become the subspace
-    range radii; Theorem 3 guarantees the union of the corresponding
-    range results contains the exact kNN.
-    """
-    n = ub_matrix.shape[0]
-    if not 1 <= k <= n:
-        raise InvalidParameterError(f"k must be in [1, {n}], got {k}")
-    totals = ub_matrix.sum(axis=1)
-    # Index of the k-th smallest total without a full sort.
-    smallest_k = np.argpartition(totals, k - 1)[:k]
-    anchor = int(smallest_k[np.argmax(totals[smallest_k])])
-    return SearchBounds(
-        radii=ub_matrix[anchor].copy(),
-        total=float(totals[anchor]),
-        anchor_id=anchor,
-    )
-
-
 def determine_search_bounds_batch(ub_tensor: np.ndarray, k: int) -> SearchBoundsBatch:
-    """Algorithm 4 for a whole batch with a single partition pass.
+    """Algorithm 4 (``QBDetermine``): pick each query's k-th smallest
+    total bound.
 
     ``ub_tensor`` has shape ``(B, n, M)``; the k-th smallest total bound
     of every query is located by one ``np.argpartition`` call over the
-    ``(B, n)`` totals matrix.
+    ``(B, n)`` totals matrix.  The selected point's per-subspace
+    components become that query's subspace range radii; Theorem 3
+    guarantees the union of the corresponding range results contains
+    the exact kNN.
     """
     if ub_tensor.ndim != 3:
         raise InvalidParameterError("ub_tensor must have shape (B, n, M)")

@@ -12,8 +12,10 @@ dimensionality character at a reduced default size:
 * value ranges kept inside each divergence's numeric comfort zone
   (positive support for ISD; |x| small enough that ED never overflows).
 
-DESIGN.md Section 4 documents why this substitution preserves the
-relative behaviour of the compared methods.
+These three properties are what the compared methods' relative
+behaviour depends on; ``PAPER_SHAPES`` in ``benchmarks/run_all.py``
+records, figure by figure, where that behaviour reproduces on the
+proxies and where it deviates.
 """
 
 from __future__ import annotations

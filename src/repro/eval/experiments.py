@@ -7,7 +7,9 @@ rows/series the paper reports.  The benchmark files under
 reports; ``benchmarks/run_all.py`` regenerates EXPERIMENTS.md from them.
 
 Scale note: the paper runs 50k-11M points; these experiments default to
-2-4k points (see DESIGN.md Section 4).  Shapes -- who wins, how curves
+2-4k points (the paper's sizes are ``PAPER_SCALE`` in
+:mod:`repro.datasets.proxies`, which also documents the data
+substitutions).  Shapes -- who wins, how curves
 move with k/M/d/n -- are the reproduction target, not absolute values.
 """
 

@@ -19,10 +19,10 @@ is decomposed into four small stage objects transforming one shared
 ``Rerank``
     Direct-kernel top-k with the adaptive noise-floor buffer.
 
-:class:`~repro.core.index.BrePartitionIndex.search` and
-``search_batch`` are thin drivers over a :class:`SearchPipeline`; the
-serving layer (:mod:`repro.serve`) and the stage-parity tests call the
-same stages.  Results are bitwise identical to the pre-decomposition
+:meth:`~repro.core.index.BrePartitionIndex.search_batch` runs a
+:class:`SearchPipeline` (``search`` runs it at ``B = 1``);
+the serving layer (:mod:`repro.serve`) and the stage-parity tests call
+the same stages.  Results are bitwise identical to the pre-decomposition
 engine for every divergence, kernel and worker count -- each stage
 preserves the kernels' row/pair bitwise-independence contracts -- and
 each stage's wall-clock time is recorded in

@@ -1,14 +1,14 @@
 """The shared state one search request carries through the pipeline.
 
-A :class:`QueryBatchContext` is created by the drivers in
-:class:`~repro.core.index.BrePartitionIndex` (``search`` builds a
-``single`` context with one query row, ``search_batch`` a batch one) and
-handed to each stage of a :class:`~repro.pipeline.SearchPipeline` in
-turn.  Every stage reads the fields of the stages before it and fills in
-its own; the driver assembles results and statistics records from the
-finished context.  Keeping all intermediate state here -- instead of in
-method locals threaded through one monolithic function -- is what lets
-the serving layer, benchmarks and tests call individual stages.
+A :class:`QueryBatchContext` is created by
+:meth:`~repro.core.index.BrePartitionIndex.search_batch` (which
+``search`` calls with one query row) and handed to each stage of a
+:class:`~repro.pipeline.SearchPipeline` in turn.  Every stage reads the
+fields of the stages before it and fills in its own; ``search_batch``
+assembles results and statistics records from the finished context.
+Keeping all intermediate state here -- instead of in method locals
+threaded through one monolithic function -- is what lets the serving
+layer, benchmarks and tests call individual stages.
 """
 
 from __future__ import annotations
@@ -35,14 +35,10 @@ class QueryBatchContext:
     filled by the driver with each stage's wall-clock time.
     """
 
-    #: query rows, always 2-D ``(B, d)`` (``B = 1`` for single search).
+    #: query rows, always 2-D ``(B, d)`` (``B = 1`` for ``search``).
     queries: np.ndarray
     #: neighbours requested per query.
     k: int
-    #: ``True`` when driven by :meth:`BrePartitionIndex.search` -- the
-    #: stages then reproduce the scalar single-query path bit for bit
-    #: (scalar triples, ``range_union``, ``datastore.fetch``).
-    single: bool = False
     #: this request's private I/O scope (dedup set + counters), opened
     #: by the driver via ``tracker.scope()`` and threaded through every
     #: storage charge -- what lets several contexts be in flight on one
@@ -65,12 +61,11 @@ class QueryBatchContext:
     bound_totals: Optional[np.ndarray] = None
 
     # -- Fetch outputs --------------------------------------------------
-    #: sorted union of all candidate ids (batch mode only).
+    #: sorted union of all candidate ids.
     union: Optional[np.ndarray] = None
-    #: global id -> row within ``union`` (batch mode only).
+    #: global id -> row within ``union``.
     row_of: Optional[np.ndarray] = None
-    #: candidate vectors -- union-ordered in batch mode, candidate-ordered
-    #: in single mode (matching ``datastore.fetch``).
+    #: candidate vectors, one row per ``union`` entry.
     vectors: Optional[np.ndarray] = None
     #: distinct pages the batch's working set spans (pool-oblivious).
     pages_coalesced: int = 0
@@ -106,10 +101,8 @@ class QueryBatchContext:
     refine_backend: Optional[str] = None
     #: process-pool width the scoring used (1 for the serial backend).
     refine_workers: int = 1
-    #: expansion scores of query 0's candidates (single mode only).
-    scores: Optional[np.ndarray] = None
     #: ``scores_of(q, rows)`` -> query ``q``'s expansion scores in
-    #: candidate order (batch mode only).
+    #: candidate order.
     scores_of: Optional[Callable[[int, np.ndarray], np.ndarray]] = None
 
     # -- Rerank outputs -------------------------------------------------

@@ -1,14 +1,15 @@
 """Fetch stage: charge the working set's pages and materialise vectors.
 
-Batch contexts charge the batch's candidate-page union once (the
-coalescing primitive of the batch engine) and peek the union's vectors
-I/O-free.  On a :class:`~repro.storage.sharded.ShardedDataStore` the
-charge-and-peek fans out one :class:`~repro.exec.ShardExecutor` task per
-shard: each task charges its shard's slice of the page union, sleeps out
-any modeled device latency (`BrePartitionConfig.simulated_io_iops`;
-``time.sleep`` releases the GIL, so parallel workers overlap waits like
-independent disks), then peeks its slab into the union-ordered vector
-array.  Single contexts reproduce ``datastore.fetch`` exactly.
+The stage charges the batch's candidate-page union once (the coalescing
+primitive of the batch engine) and peeks the union's vectors I/O-free.
+On a :class:`~repro.storage.sharded.ShardedDataStore` the charge-and-peek
+fans out one :class:`~repro.exec.ShardExecutor` task per shard: each
+task charges its shard's slice of the page union, sleeps out any modeled
+device latency (`BrePartitionConfig.simulated_io_iops`; ``time.sleep``
+releases the GIL, so parallel workers overlap waits like independent
+disks), then peeks its slab into the union-ordered vector array.  On one
+disk the modeled latency is one sleep for the pages the union charge
+actually billed.
 
 The stage also owns the buffer-pool batch epoch: every context opens a
 fresh :meth:`~repro.storage.buffer_pool.BufferPool.begin_batch` epoch,
@@ -63,29 +64,17 @@ class FetchStage(PipelineStage):
             epoch = pool.begin_batch()
             if ctx.scope is not None:
                 ctx.scope.pool_epoch = epoch
-        if ctx.single:
-            if (
-                isinstance(store, ShardedDataStore)
-                and store.replication_factor > 1
-            ):
-                self._fetch_single_replicated(ctx, store)
-            else:
-                executor = self.index._make_executor()
-                ctx.vectors = executor.call_with_retry(
-                    lambda: store.fetch(ctx.candidates[0], scope=ctx.scope),
-                    on_retry=self._retry_counter(ctx),
-                )
-        elif isinstance(store, ShardedDataStore):
+        if isinstance(store, ShardedDataStore):
             self._fetch_fanout(ctx, store)
         else:
-            self._fetch_single_disk(ctx, store)
+            self._fetch_unsharded(ctx, store)
         if pool is not None and ctx.scope is not None:
             # the scope's own counter, not a global delta: exact even
             # with other batches hitting the pool mid-flight
             ctx.cross_batch_hits = ctx.scope.cross_batch_hits
 
     # ------------------------------------------------------------------
-    # batch fetch, one simulated disk
+    # one simulated disk
     # ------------------------------------------------------------------
 
     def _retry_counter(self, ctx: QueryBatchContext):
@@ -98,7 +87,7 @@ class FetchStage(PipelineStage):
 
         return bump
 
-    def _fetch_single_disk(self, ctx: QueryBatchContext, store) -> None:
+    def _fetch_unsharded(self, ctx: QueryBatchContext, store) -> None:
         index = self.index
         ctx.union, ctx.row_of = union_rows(ctx.candidates, store.n_points)
         executor = index._make_executor()
@@ -124,57 +113,7 @@ class FetchStage(PipelineStage):
         ctx.vectors = store.peek(ctx.union)
 
     # ------------------------------------------------------------------
-    # single fetch, replicated store
-    # ------------------------------------------------------------------
-
-    def _fetch_single_replicated(
-        self, ctx: QueryBatchContext, store: ShardedDataStore
-    ) -> None:
-        """Single-query fetch surviving dead replicas.
-
-        Reproduces ``store.fetch`` bit for bit -- the same per-shard
-        charges in the same order, then one ``peek`` -- but routes each
-        shard's charge through :meth:`ShardExecutor.call_with_failover`,
-        so a broken replica fails over instead of failing the search.
-        Only used when ``replication_factor > 1``; the unreplicated
-        single path keeps its historical ``store.fetch`` call.
-        """
-        index = self.index
-        executor = index._make_executor()
-        ids = np.asarray(ctx.candidates[0], dtype=int)
-        bump_retry = self._retry_counter(ctx)
-
-        def bump_failover() -> None:
-            ctx.n_failovers += 1
-
-        def bump_hedge() -> None:
-            ctx.n_hedged += 1
-
-        for s, (positions, local) in enumerate(store.shard_split(ids)):
-            if positions.size == 0:
-                continue
-
-            def charge(r: int, s: int = s, local=local):
-                def fn():
-                    return store.charge_shard_replica_detailed(
-                        s, r, [local], scope=ctx.scope
-                    )
-
-                return fn
-
-            executor.call_with_failover(
-                [
-                    (store.replica_disk(s, r), charge(r))
-                    for r in range(store.replication_factor)
-                ],
-                on_retry=bump_retry,
-                on_failover=bump_failover,
-                on_hedge=bump_hedge,
-            )
-        ctx.vectors = store.peek(ids)
-
-    # ------------------------------------------------------------------
-    # batch fetch, sharded fan-out
+    # sharded fan-out
     # ------------------------------------------------------------------
 
     def _fetch_fanout(self, ctx: QueryBatchContext, store: ShardedDataStore) -> None:

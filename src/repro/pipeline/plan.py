@@ -1,13 +1,11 @@
 """Plan stage: Theorem-1 bounds, Algorithm-4 radii, forest traversal.
 
-Covers Algorithm 6 steps 1-3 for the whole context: query triples, the
-bound matrix/tensor, search radii (including the index's
-``_adjust_radii`` / ``_adjust_radii_batch`` hooks, which the approximate
-extension overrides), the BB-forest range-union traversal, and the
-widening recovery when adjusted radii return fewer than ``k``
-candidates.  Batch contexts take the fully vectorised path (one
-``(B, n, M)`` tensor, one ``argpartition``, level-synchronous batch
-traversal); single contexts reproduce the scalar path bit for bit.
+Covers Algorithm 6 steps 1-3 for every query of the context at once:
+the ``(B, M)`` query triples, one ``(B, n, M)`` bound tensor, the search
+radii from a single ``argpartition`` (including the index's
+``_adjust_radii_batch`` hook, which the approximate extension
+overrides), the level-synchronous BB-forest traversal, and the widening
+recovery when adjusted radii return fewer than ``k`` candidates.
 
 Snapshot semantics: all components (transforms, partitioning, forest)
 are read through ``ctx.snapshot`` so a concurrent merge can never swap
@@ -24,11 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.transforms import (
-    determine_search_bounds,
-    determine_search_bounds_batch,
-    pad_radii,
-)
+from ..core.transforms import determine_search_bounds_batch, pad_radii
 from .base import PipelineStage
 from .context import QueryBatchContext
 
@@ -37,12 +31,6 @@ __all__ = ["PlanStage"]
 
 class PlanStage(PipelineStage):
     name = "plan"
-
-    def run(self, ctx: QueryBatchContext) -> None:
-        if ctx.single:
-            self._run_single(ctx)
-        else:
-            self._run_batch(ctx)
 
     def _components(self, ctx: QueryBatchContext):
         """(transforms, partitioning, forest, k_plan) for this context."""
@@ -59,36 +47,7 @@ class PlanStage(PipelineStage):
             return candidates
         return snap.filter_live(candidates)
 
-    # ------------------------------------------------------------------
-    # scalar path (BrePartitionIndex.search)
-    # ------------------------------------------------------------------
-
-    def _run_single(self, ctx: QueryBatchContext) -> None:
-        index = self.index
-        transforms, partitioning, forest, k_plan = self._components(ctx)
-        query = ctx.queries[0]
-        triples = transforms.query_triples(query)
-        ub_matrix = transforms.upper_bound_matrix(triples)
-        search_bounds = determine_search_bounds(ub_matrix, k_plan)
-        exact_radii = pad_radii(search_bounds.radii)
-        radii = pad_radii(index._adjust_radii(search_bounds, triples))
-
-        sub_queries = partitioning.split(query)
-        candidates, forest_stats = forest.range_union(
-            sub_queries, radii, point_filter=index.config.point_filter
-        )
-        candidates, forest_stats = self.widen_if_short(
-            forest, sub_queries, radii, exact_radii, k_plan, candidates, forest_stats
-        )
-        ctx.candidates = [self._filter_live(ctx, candidates)]
-        ctx.forest_stats = [forest_stats]
-        ctx.bound_totals = np.array([search_bounds.total])
-
-    # ------------------------------------------------------------------
-    # vectorised path (BrePartitionIndex.search_batch)
-    # ------------------------------------------------------------------
-
-    def _run_batch(self, ctx: QueryBatchContext) -> None:
+    def run(self, ctx: QueryBatchContext) -> None:
         index = self.index
         transforms, partitioning, forest, k_plan = self._components(ctx)
         queries = ctx.queries
@@ -96,7 +55,9 @@ class PlanStage(PipelineStage):
         ub_tensor = transforms.upper_bound_tensor(triples)
         search_bounds = determine_search_bounds_batch(ub_tensor, k_plan)
         exact_radii = pad_radii(search_bounds.radii)
-        radii = pad_radii(index._adjust_radii_batch(search_bounds, triples))
+        radii = pad_radii(
+            index._adjust_radii_batch(search_bounds, triples, transforms)
+        )
 
         sub_matrices = partitioning.split_matrix(queries)
         candidates, forest_stats = forest.range_union_batch(

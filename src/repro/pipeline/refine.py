@@ -2,15 +2,14 @@
 
 Owns the adaptive dense/sparse/auto kernel dispatch, the
 serial/process/auto *backend* dispatch, and the conditioner-wrapped
-cross-divergence kernels.  Batch contexts score the union slab either
+cross-divergence kernels.  The stage scores the union slab either
 through the dense blocked kernel (full ``(union, B)`` matrix in
 ``refinement_block_size`` row blocks) or the sparse grouped kernel
-(only real pairs, query-bucketed gathers); single contexts score the
-one query's candidates through the dense kernel at ``B = 1``.  Every
-path produces bitwise-identical scores -- dense columns are independent
-of batch composition and blocking, sparse pair values equal the dense
-matrix entries bit for bit -- so both the kernel and the backend choice
-are purely performance decisions.
+(only real pairs, query-bucketed gathers).  Both produce
+bitwise-identical scores -- dense columns are independent of batch
+composition and blocking, sparse pair values equal the dense matrix
+entries bit for bit -- so both the kernel and the backend choice are
+purely performance decisions.
 
 On the ``process`` backend the same kernels run in
 :class:`~repro.exec.RefinementProcessPool` workers over shared-memory
@@ -75,17 +74,6 @@ class RefineStage(PipelineStage):
         conditioner = (
             snap.refine_conditioner if snap is not None else _UNSET
         )
-        if ctx.single:
-            if ctx.vectors is None or ctx.vectors.shape[0] == 0:
-                ctx.scores = np.empty(0, dtype=float)
-                return
-            # singles always score serially: one query's candidate set is
-            # far below any sane amortization floor for a process dispatch
-            ctx.refine_backend = "serial"
-            ctx.scores = self.score_dense(
-                ctx.vectors, ctx.queries, conditioner=conditioner
-            )[:, 0]
-            return
         n_queries = ctx.n_queries
         if ctx.union is None or ctx.union.size == 0 or n_queries == 0:
             ctx.refine_kernel = None
@@ -95,7 +83,7 @@ class RefineStage(PipelineStage):
         vectors, queries = ctx.vectors, ctx.queries
         if kernel == "sparse":
             pair_rows, pair_queries, offsets = build_pairs(ctx.candidates, ctx.row_of)
-            backend, workers = self.choose_backend(kernel, int(pair_rows.size))
+            backend, workers = self._backend_for(kernel, int(pair_rows.size), n_queries)
             ctx.refine_backend, ctx.refine_workers = backend, workers
             if backend == "process":
                 flat = self._pool_score_sparse(
@@ -108,7 +96,7 @@ class RefineStage(PipelineStage):
             ctx.scores_of = lambda q, rows: flat[offsets[q] : offsets[q + 1]]
         else:
             block = self.index.config.refinement_block_for(n_queries, vectors.shape[1])
-            backend, workers = self.choose_backend(kernel, int(ctx.union.size))
+            backend, workers = self._backend_for(kernel, int(ctx.union.size), n_queries)
             ctx.refine_backend, ctx.refine_workers = backend, workers
             if backend == "process":
                 cross = self._pool_score_dense(vectors, queries, block, conditioner)
@@ -187,6 +175,14 @@ class RefineStage(PipelineStage):
         if work_items < floor:
             return "serial", 1
         return "process", config.refine_workers
+
+    def _backend_for(self, kernel: str, work_items: int, n_queries: int):
+        """:meth:`choose_backend`, except that a one-query batch (what
+        ``search`` runs) always scores serially: one query's candidate
+        set never amortizes a process dispatch."""
+        if n_queries == 1:
+            return "serial", 1
+        return self.choose_backend(kernel, work_items)
 
     def _pool_score_dense(
         self, vectors: np.ndarray, queries: np.ndarray, block: int, conditioner=_UNSET

@@ -4,10 +4,10 @@ The expansion kernel can lose precision to cancellation, so final
 results are drawn from an adaptively-sized preselection buffer and
 re-scored with the divergence's direct (well-conditioned)
 ``batch_divergence`` -- the same formula the brute-force oracle uses.
-Single and batch contexts, dense and sparse layouts, sequential and
-fanned-out fetches all converge on one :meth:`RerankStage.topk`
+Dense and sparse layouts, sequential and fanned-out fetches, and the
+per-query reference loop all converge on one :meth:`RerankStage.topk`
 implementation, which is what makes their tie-breaking -- and therefore
-the bitwise single/batch parity contract -- identical by construction.
+their bitwise parity -- identical by construction.
 
 Snapshot-aware reranking: when the context's snapshot carries a
 non-identity row -> external-id mapping, candidates are reordered by
@@ -63,10 +63,6 @@ class RerankStage(PipelineStage):
         snap = ctx.snapshot
         delta_n = snap.delta.n_inserts if snap is not None else 0
         ctx.delta_candidates = [delta_n] * ctx.n_queries
-        if ctx.single:
-            frozen = self._frozen_topk_single(ctx, snap)
-            ctx.refined = [self._merge_delta(frozen, ctx.queries[0], ctx.k, snap)]
-            return
         empty = (np.empty(0, dtype=int), np.empty(0, dtype=float))
         if ctx.union is None or ctx.union.size == 0 or ctx.n_queries == 0:
             # no frozen candidates anywhere; results may still come
@@ -102,17 +98,6 @@ class RerankStage(PipelineStage):
         ]
         for q in ctx.query_errors:
             ctx.delta_candidates[q] = 0
-
-    def _frozen_topk_single(self, ctx: QueryBatchContext, snap):
-        """The single path's frozen-side top-k pair."""
-        ids = ctx.candidates[0]
-        if ids.size == 0:
-            return (np.empty(0, dtype=int), np.empty(0, dtype=float))
-        vectors = ctx.vectors
-        ids, scores, gather = self._id_ordered(
-            ids, ctx.scores, snap, lambda sel: vectors[sel]
-        )
-        return self.topk(ids, scores, ctx.queries[0], ctx.k, gather)
 
     def _id_ordered(self, ids: np.ndarray, scores: np.ndarray, snap, gather):
         """Reorder candidates so ``topk`` ties break by ascending external id.
@@ -163,10 +148,10 @@ class RerankStage(PipelineStage):
 
         ``gather(positions)`` materialises candidate vectors for
         positions into ``ids``; every path passes a fresh contiguous
-        gather of the same rows, so single, looped, blocked and
-        fanned-out refinement rerank identical arrays and stay
-        bitwise-equal.  Ties resolve by ascending id (``ids`` is sorted,
-        positions are sorted back before scoring).
+        gather of the same rows, so looped, blocked and fanned-out
+        refinement rerank identical arrays and stay bitwise-equal.  Ties
+        resolve by ascending id (``ids`` is sorted, positions are sorted
+        back before scoring).
 
         The buffer is *adaptive*: reranking the preselection also
         measures the expansion kernel's noise floor on this query -- the

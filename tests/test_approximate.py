@@ -142,4 +142,5 @@ class TestApproximateIndex:
         div, points, index = self._build(0.8)
         q = points_for(div, 1, 12, seed=70)[0]
         index.search(q, k=5)
-        assert 0.0 < index._last_coefficient <= 1.0
+        (c,) = index._last_coefficients
+        assert 0.0 < c <= 1.0

@@ -21,10 +21,7 @@ from repro import (
     SquaredEuclidean,
 )
 from repro.bbtree import BBTree
-from repro.core.transforms import (
-    determine_search_bounds,
-    determine_search_bounds_batch,
-)
+from repro.core.transforms import determine_search_bounds_batch
 from repro.exceptions import (
     DomainError,
     InvalidParameterError,
@@ -357,7 +354,7 @@ class TestBatchValidation:
         with pytest.raises(NotFittedError, match="build"):
             fresh.search_batch(self.queries, K)
 
-    @pytest.mark.parametrize("bad_k", [0, -3, N_POINTS + 1])
+    @pytest.mark.parametrize("bad_k", [0, -3, N_POINTS + 1, 2.5, True])
     def test_rejects_bad_k(self, bad_k):
         with pytest.raises(InvalidParameterError, match="k must be in"):
             self.index.search_batch(self.queries, bad_k)
@@ -428,15 +425,17 @@ class TestBatchPrimitives:
         )
         assert not decisions.any()
 
-    def test_bounds_batch_matches_single(self):
+    def test_bounds_batch_picks_each_rows_kth_total(self):
         rng = np.random.default_rng(6)
         ub_tensor = rng.uniform(0.1, 5.0, size=(7, 50, 4))
         batch = determine_search_bounds_batch(ub_tensor, k=8)
         for b in range(7):
-            single = determine_search_bounds(ub_tensor[b], k=8)
-            assert batch.anchor_ids[b] == single.anchor_id
-            assert batch.totals[b] == single.total
-            np.testing.assert_array_equal(batch.radii[b], single.radii)
+            totals = ub_tensor[b].sum(axis=1)
+            assert batch.totals[b] == np.sort(totals)[7]
+            assert totals[batch.anchor_ids[b]] == batch.totals[b]
+            np.testing.assert_array_equal(
+                batch.radii[b], ub_tensor[b, batch.anchor_ids[b]]
+            )
 
     def test_bounds_batch_validation(self):
         with pytest.raises(InvalidParameterError, match="k must be in"):

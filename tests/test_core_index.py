@@ -14,7 +14,7 @@ from repro import (
 )
 from repro.core.transforms import (
     SubspaceTransforms,
-    determine_search_bounds,
+    determine_search_bounds_batch,
 )
 from repro.divergences import ItakuraSaito, SquaredEuclidean
 from repro.exceptions import (
@@ -164,6 +164,35 @@ class TestValidation:
         with pytest.raises(InvalidParameterError):
             index.search(np.zeros(6), 31)
 
+    @pytest.mark.parametrize(
+        "query, k, message",
+        [
+            (np.zeros(6), 2.5, r"k must be in \[1, 30\] and an integer, got 2\.5"),
+            (np.zeros(6), True, r"and an integer, got True \(bool\)"),
+            (np.zeros(6), np.float64(3.0), r"and an integer, got .*float64"),
+            (np.zeros((2, 6)), 3, r"query must have shape \(6,\), got \(2, 6\)"),
+            (np.zeros((1, 6)), 3, r"query must have shape \(6,\), got \(1, 6\)"),
+            (np.zeros(5), 3, r"query must have shape \(6,\), got \(5,\)"),
+            (np.float64(0.0), 3, r"query must have shape \(6,\), got \(\)"),
+        ],
+    )
+    def test_search_rejects(self, query, k, message):
+        div = SquaredEuclidean()
+        index = BrePartitionIndex(
+            div, BrePartitionConfig(n_partitions=2, seed=0, page_size_bytes=1024)
+        ).build(points_for(div, 30, 6, seed=55))
+        with pytest.raises(InvalidParameterError, match=message):
+            index.search(query, k)
+
+    def test_numpy_integer_k_accepted(self):
+        div = SquaredEuclidean()
+        points = points_for(div, 30, 6, seed=55)
+        index = BrePartitionIndex(
+            div, BrePartitionConfig(n_partitions=2, seed=0, page_size_bytes=1024)
+        ).build(points)
+        assert index.search(points[0], np.int64(3)).k == 3
+        assert index.search_batch(points[:2], np.int32(2)).results[1].k == 2
+
     def test_too_few_points(self):
         with pytest.raises(InvalidParameterError):
             BrePartitionIndex(
@@ -228,37 +257,94 @@ class TestStats:
         assert pairs[0][0] == result.ids[0]
 
 
+class TestSearchContract:
+    """``search(q)`` is ``search_batch(q[None])[0]`` with scope figures."""
+
+    def test_equals_batch_row(self):
+        div = ItakuraSaito()
+        points = points_for(div, 150, 10, seed=61)
+        index = BrePartitionIndex(
+            div,
+            BrePartitionConfig(
+                n_partitions=3, seed=0, page_size_bytes=512, n_shards=3
+            ),
+        ).build(points)
+        # a merged epoch with a live delta and a tombstone on top
+        index.insert(points_for(div, 1, 10, seed=62)[0])
+        index.merge(mode="extend")
+        index.insert(points_for(div, 1, 10, seed=63)[0])
+        index.delete(7)
+        for query in points_for(div, 5, 10, seed=64):
+            single = index.search(query, 4)
+            row = index.search_batch(query[None, :], 4)[0]
+            np.testing.assert_array_equal(single.ids, row.ids)
+            np.testing.assert_array_equal(single.divergences, row.divergences)
+            assert single.stats.pages_read == row.stats.pages_read
+            assert single.stats.epoch == row.stats.epoch == 1
+            assert set(single.stats.stage_seconds) == {
+                "plan",
+                "fetch",
+                "refine",
+                "rerank",
+            }
+
+    def test_partial_mode_raises_the_shard_error(self):
+        from repro.exceptions import ShardUnavailableError
+        from repro.storage import FaultInjector
+
+        div = SquaredEuclidean()
+        points = points_for(div, 64, 8, seed=31)
+        index = BrePartitionIndex(
+            div,
+            BrePartitionConfig(
+                n_partitions=2,
+                seed=0,
+                page_size_bytes=512,
+                n_shards=4,
+                shard_failure="partial",
+            ),
+        )
+        injector = FaultInjector(seed=0)
+        index.attach_fault_injector(injector)
+        index.build(points)
+        query = points_for(div, 1, 8, seed=32)[0]
+        injector.set_plan(shard=1, broken=True)
+        assert index.search_batch(query[None, :], 3).failures
+        with pytest.raises(ShardUnavailableError):
+            index.search(query, 3)
+
+
 class TestAlgorithm4:
     def test_anchor_is_kth_smallest_total(self):
         div = SquaredEuclidean()
         points = points_for(div, 60, 8, seed=57)
         partitioning = ContiguousPartitioner().partition(points, 2)
         transforms = SubspaceTransforms(div, partitioning, points)
-        q = points_for(div, 1, 8, seed=58)[0]
-        triples = transforms.query_triples(q)
-        ub = transforms.upper_bound_matrix(triples)
-        totals = ub.sum(axis=1)
+        q = points_for(div, 1, 8, seed=58)
+        triples = transforms.query_triples_batch(q)
+        ub = transforms.upper_bound_tensor(triples)
+        totals = ub[0].sum(axis=1)
         for k in (1, 3, 10):
-            sb = determine_search_bounds(ub, k)
-            assert sb.total == pytest.approx(np.sort(totals)[k - 1])
-            np.testing.assert_allclose(sb.radii, ub[sb.anchor_id])
+            sb = determine_search_bounds_batch(ub, k)
+            assert sb.totals[0] == pytest.approx(np.sort(totals)[k - 1])
+            np.testing.assert_allclose(sb.radii[0], ub[0, sb.anchor_ids[0]])
 
     def test_invalid_k_rejected(self):
-        ub = np.ones((5, 2))
+        ub = np.ones((1, 5, 2))
         with pytest.raises(InvalidParameterError):
-            determine_search_bounds(ub, 0)
+            determine_search_bounds_batch(ub, 0)
         with pytest.raises(InvalidParameterError):
-            determine_search_bounds(ub, 6)
+            determine_search_bounds_batch(ub, 6)
 
     def test_ub_matrix_dominates_subspace_divergences(self):
-        """Every entry of the (n, M) bound matrix dominates the true
+        """Every entry of a query's (n, M) bound slice dominates the true
         per-subspace divergence -- the keystone of Theorem 3."""
         div = ItakuraSaito()
         points = points_for(div, 50, 9, seed=59)
         partitioning = ContiguousPartitioner().partition(points, 3)
         transforms = SubspaceTransforms(div, partitioning, points)
         q = points_for(div, 1, 9, seed=60)[0]
-        ub = transforms.upper_bound_matrix(transforms.query_triples(q))
+        ub = transforms.upper_bound_tensor(transforms.query_triples_batch(q[None]))[0]
         for i, dims in enumerate(partitioning.subspaces):
             sub_div = div.restrict(dims)
             true = sub_div.batch_divergence(points[:, dims], q[dims])

@@ -1,7 +1,12 @@
 """Property-based tests (hypothesis) for the library's core invariants.
 
-These are DESIGN.md Section 5's invariants, exercised over randomly
-generated vectors, radii and partitionings rather than fixed fixtures.
+The numbered invariants the sections below refer to are: (1) bound
+validity -- Theorems 1-2 and the decomposition identity; (2) end-to-end
+exactness against brute force; (3) ball / range soundness; (4) the
+divergence laws -- non-negativity, zero self-divergence, additivity over
+partitions; (5) centroids and covering balls.  Each is exercised over
+randomly generated vectors, radii and partitionings rather than fixed
+fixtures.
 """
 
 from __future__ import annotations
@@ -114,7 +119,7 @@ class TestBoundValidityProperty:
 
 
 # ----------------------------------------------------------------------
-# invariant 5: divergence laws
+# invariant 4: divergence laws
 # ----------------------------------------------------------------------
 
 
@@ -228,7 +233,7 @@ class TestExactnessProperty:
 
 
 # ----------------------------------------------------------------------
-# invariant 6 addendum: covering balls really cover
+# invariant 5: covering balls really cover
 # ----------------------------------------------------------------------
 
 

@@ -399,14 +399,43 @@ class TestMerge:
 
         scope = index.tracker.scope()
         scope.pin(snap)
-        ctx = QueryBatchContext(
-            queries=query[None, :], k=3, single=True, scope=scope, snapshot=snap
-        )
+        ctx = QueryBatchContext(queries=query[None, :], k=3, scope=scope, snapshot=snap)
         index.pipeline.run(ctx)
         index.tracker.finish_scope(scope)
         want_ids, want_div = _oracle(div, live_before, query, 3)
         np.testing.assert_array_equal(ctx.refined[0][0], want_ids)
         np.testing.assert_array_equal(ctx.refined[0][1], want_div)
+
+    def test_abp_radius_hook_reads_the_pinned_snapshot(self):
+        """ABP's radius hook indexes the pinned epoch's transforms, not
+        the live base a rebuild merge has since shrunk and renumbered."""
+        from repro import ApproximateBrePartitionIndex
+        from repro.pipeline import QueryBatchContext
+
+        div = SquaredEuclidean()
+        points = points_for(div, 300, 6, seed=41)
+        queries = points_for(div, 40, 6, seed=42)
+        index = ApproximateBrePartitionIndex(
+            div,
+            probability=0.8,
+            config=BrePartitionConfig(
+                n_partitions=2, seed=0, page_size_bytes=512, point_filter=True
+            ),
+        ).build(points)
+        before = index.search_batch(queries, 3)
+        snap = index.snapshot()
+        scope = index.tracker.scope()
+        scope.pin(snap)
+        for pid in range(290):
+            index.delete(pid)
+        index.merge(mode="rebuild", drain_timeout=0.0)
+        assert index.transforms.n_points == 10
+        ctx = QueryBatchContext(queries=queries, k=3, scope=scope, snapshot=snap)
+        index.pipeline.run(ctx)
+        index.tracker.finish_scope(scope)
+        for q, result in enumerate(before):
+            np.testing.assert_array_equal(ctx.refined[q][0], result.ids)
+            np.testing.assert_array_equal(ctx.refined[q][1], result.divergences)
 
 
 # ----------------------------------------------------------------------
