@@ -48,6 +48,7 @@ def test_benchmark_search_by_strategy(benchmark, strategy):
             strategy=strategy,
             page_size_bytes=ds.page_size_bytes,
             seed=0,
+            plan_route="forest",
         ),
     ).build(ds.points)
     benchmark.pedantic(index.search, args=(ds.queries[0], 20), rounds=3, iterations=1)

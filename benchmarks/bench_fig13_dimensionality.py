@@ -41,6 +41,11 @@ def test_benchmark_bp_by_dimensionality(benchmark, d):
     ds = load_dataset("fonts", n=1200, d=d, n_queries=5, seed=0)
     index = BrePartitionIndex(
         ds.divergence,
-        BrePartitionConfig(n_partitions=4, page_size_bytes=ds.page_size_bytes, seed=0),
+        BrePartitionConfig(
+            n_partitions=4,
+            page_size_bytes=ds.page_size_bytes,
+            seed=0,
+            plan_route="forest",
+        ),
     ).build(ds.points)
     benchmark.pedantic(index.search, args=(ds.queries[0], 20), rounds=3, iterations=1)

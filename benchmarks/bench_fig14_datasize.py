@@ -41,6 +41,11 @@ def test_benchmark_bp_by_datasize(benchmark, n):
     ds = load_dataset("sift", n=n, n_queries=5, seed=0)
     index = BrePartitionIndex(
         ds.divergence,
-        BrePartitionConfig(n_partitions=8, page_size_bytes=ds.page_size_bytes, seed=0),
+        BrePartitionConfig(
+            n_partitions=8,
+            page_size_bytes=ds.page_size_bytes,
+            seed=0,
+            plan_route="forest",
+        ),
     ).build(ds.points)
     benchmark.pedantic(index.search, args=(ds.queries[0], 20), rounds=3, iterations=1)

@@ -25,7 +25,6 @@ from __future__ import annotations
 from typing import Literal
 
 import numpy as np
-from scipy import stats as sps
 
 from ..divergences.base import DecomposableBregmanDivergence
 from ..exceptions import InvalidParameterError, NotFittedError
@@ -68,6 +67,14 @@ class BetaXYModel:
             self._std = 1e-12
         return self
 
+    @staticmethod
+    def _normal():
+        """``scipy.stats.norm``, imported on first use: the normal fit is
+        scipy's only user, so the exact engine imports and runs without it."""
+        from scipy import stats
+
+        return stats.norm
+
     def _require_fit(self) -> None:
         if self._samples is None:
             raise NotFittedError("BetaXYModel.fit() must be called first")
@@ -76,7 +83,7 @@ class BetaXYModel:
         """``Psi(value) = P(beta_xy <= value)``."""
         self._require_fit()
         if self.kind == "normal":
-            return float(sps.norm.cdf(value, loc=self._mean, scale=self._std))
+            return float(self._normal().cdf(value, loc=self._mean, scale=self._std))
         rank = np.searchsorted(self._samples, value, side="right")
         return float(rank / self._samples.size)
 
@@ -85,7 +92,9 @@ class BetaXYModel:
         self._require_fit()
         probability = min(max(probability, 1e-12), 1.0 - 1e-12)
         if self.kind == "normal":
-            return float(sps.norm.ppf(probability, loc=self._mean, scale=self._std))
+            return float(
+                self._normal().ppf(probability, loc=self._mean, scale=self._std)
+            )
         return float(np.quantile(self._samples, probability))
 
     def coefficient(self, mu: float, kappa: float, probability: float) -> float:
@@ -119,6 +128,10 @@ class ApproximateBrePartitionIndex(BrePartitionIndex):
     the smooth knob the paper's Fig. 15 sweeps.  Override by passing a
     config with ``point_filter=False``.
     """
+
+    #: the shrunken radii are the point of ABP: Plan never routes it
+    #: around the forest walk.
+    uses_exact_radii = False
 
     def __init__(
         self,

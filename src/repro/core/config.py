@@ -15,6 +15,7 @@ __all__ = [
     "REFINE_KERNELS",
     "REFINE_BACKENDS",
     "REFINE_START_METHODS",
+    "PLAN_ROUTES",
 ]
 
 #: valid values of :attr:`BrePartitionConfig.refine_kernel`.
@@ -22,6 +23,9 @@ REFINE_KERNELS = ("auto", "dense", "sparse")
 
 #: valid values of :attr:`BrePartitionConfig.refine_backend`.
 REFINE_BACKENDS = ("auto", "serial", "process")
+
+#: valid values of :attr:`BrePartitionConfig.plan_route`.
+PLAN_ROUTES = ("auto", "forest", "scan")
 
 #: valid non-``None`` values of
 #: :attr:`BrePartitionConfig.refine_start_method`; availability is
@@ -191,6 +195,17 @@ class BrePartitionConfig:
         the shard's next live replica and the first result wins (the
         tail-tolerant hedged read).  Results are bitwise identical
         either way; ``None`` (default) never hedges.
+    plan_route:
+        How the Plan stage turns bounds into candidates: ``"forest"``
+        walks the BB-forest with the Algorithm-4 radii (the paper's
+        Algorithm 6 filter), ``"scan"`` skips the walk and makes every
+        live frozen point a candidate, and ``"auto"`` (default) scans
+        only when Theorem 1's lower bounds admit points on every page
+        the live points occupy -- when the walk is predicted to save no
+        page.  All three return bitwise-identical results (a scan is a
+        superset of any walk, and the rerank is exact).  The
+        approximate index always walks: its adjusted radii are the
+        point of it.  See :mod:`repro.pipeline.plan`.
     """
 
     n_partitions: Optional[int] = None
@@ -221,6 +236,7 @@ class BrePartitionConfig:
     breaker_threshold: int = 5
     breaker_reset_s: float = 0.25
     hedge_after_ms: Optional[float] = None
+    plan_route: str = "auto"
 
     def __post_init__(self) -> None:
         if self.n_partitions is not None and self.n_partitions < 1:
@@ -295,6 +311,10 @@ class BrePartitionConfig:
         if self.hedge_after_ms is not None and self.hedge_after_ms <= 0:
             raise InvalidParameterError(
                 "hedge_after_ms must be positive (or None to disable)"
+            )
+        if self.plan_route not in PLAN_ROUTES:
+            raise InvalidParameterError(
+                f"plan_route must be one of {PLAN_ROUTES}, got {self.plan_route!r}"
             )
 
     def make_strategy(self, rng) -> PartitionStrategy:

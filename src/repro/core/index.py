@@ -817,6 +817,7 @@ class BrePartitionIndex:
         failures = dict(ctx.query_errors)
         results: list[Optional[SearchResult]] = []
         unshared_pages = 0
+        last_ids = None
         total_candidates = 0
         total_delta = 0
         per_query_seconds = elapsed / n_queries if n_queries else 0.0
@@ -828,7 +829,10 @@ class BrePartitionIndex:
                 continue
             ids = ctx.candidates[q]
             top_ids, top_divergences = ctx.refined[q]
-            solo_pages = snap.datastore.count_pages_of(ids)
+            if ids is not last_ids:
+                # scan-routed queries share one candidate array: count once
+                solo_pages = snap.datastore.count_pages_of(ids)
+                last_ids = ids
             unshared_pages += solo_pages
             total_candidates += int(ids.size)
             delta_candidates = ctx.delta_candidates[q] if ctx.delta_candidates else 0
@@ -843,6 +847,7 @@ class BrePartitionIndex:
                 points_evaluated=int(ids.size),
                 delta_candidates=delta_candidates,
                 epoch=snap.epoch,
+                plan_route=ctx.plan_route,
             )
             results.append(
                 SearchResult(ids=top_ids, divergences=top_divergences, stats=stats)
@@ -951,10 +956,17 @@ class BrePartitionIndex:
             if self._refine_pool is not None:
                 self._refine_pool.shutdown()
 
+    #: ``True`` while :meth:`_adjust_radii_batch` keeps Algorithm 4's
+    #: exact radii; only then may Plan route around the forest walk
+    #: (``config.plan_route``), since a full scan cannot change an exact
+    #: answer but would undo a deliberately approximate one.
+    uses_exact_radii = True
+
     def _adjust_radii_batch(self, search_bounds, triples, transforms) -> np.ndarray:
         """Radius hook for the approximate extension; exact search keeps
         Algorithm 4's radii.  ``transforms`` are the snapshot's, the
-        ones ``search_bounds.anchor_ids`` index into."""
+        ones ``search_bounds.anchor_ids`` index into.  An override that
+        changes the radii must set :attr:`uses_exact_radii` to ``False``."""
         return search_bounds.radii
 
     # ------------------------------------------------------------------

@@ -36,6 +36,11 @@ class QueryStats:
     delta_candidates: int = 0
     #: epoch of the frozen base this query's snapshot pinned.
     epoch: int = 0
+    #: how the Plan stage chose candidates: ``"forest"`` (BB-forest
+    #: walk) or ``"scan"`` (all live frozen points, with
+    #: ``leaves_visited == 0`` and no per-subspace counts); ``None``
+    #: for indexes that do not run the staged pipeline.
+    plan_route: Optional[str] = None
 
 
 @dataclass

@@ -120,23 +120,32 @@ class SubspaceTransforms:
             delta=np.stack([t.delta for t in per_sub], axis=1),
         )
 
-    def upper_bound_tensor(self, triples: bd.QueryTripleBatch) -> np.ndarray:
+    def upper_bound_tensor(
+        self, triples: bd.QueryTripleBatch, with_lower: bool = False
+    ):
         """Theorem 1 bounds for every (query, point, subspace): ``(B, n, M)``.
 
         One broadcasted pass over the batch; the additions follow the
         same left-to-right order as
         :func:`repro.geometry.bounds.batch_upper_bounds`, so each query's
         slice agrees with that function's per-subspace bounds.
+
+        With ``with_lower`` the pair ``(upper, lower)`` is returned,
+        where ``lower = alpha_x + alpha_y + beta_yy - sqrt(gamma_x *
+        delta_y)`` is the Cauchy inequality's other side
+        (``beta_xy >= -sqrt(gamma_x * delta_y)``), built from the same
+        operands and square-root term.  ``upper`` is bitwise the same
+        either way.
         """
         alpha_q = triples.alpha[:, None, :]
         beta_q = triples.beta_yy[:, None, :]
         delta_q = triples.delta[:, None, :]
-        return (
-            self.alpha[None, :, :]
-            + alpha_q
-            + beta_q
-            + np.sqrt(np.maximum(self.gamma[None, :, :] * delta_q, 0.0))
-        )
+        exact_terms = self.alpha[None, :, :] + alpha_q + beta_q
+        cauchy = np.sqrt(np.maximum(self.gamma[None, :, :] * delta_q, 0.0))
+        upper = exact_terms + cauchy
+        if not with_lower:
+            return upper
+        return upper, exact_terms - cauchy
 
 
 def determine_search_bounds_batch(ub_tensor: np.ndarray, k: int) -> SearchBoundsBatch:

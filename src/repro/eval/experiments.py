@@ -83,6 +83,9 @@ def _bp(dataset: Dataset, m: int | None = None, strategy: str = "pccp", seed: in
             page_size_bytes=dataset.page_size_bytes,
             seed=seed,
             calibration_samples=20,
+            # the paper's figures measure Algorithm 6's filter, so never
+            # route around the forest walk
+            plan_route="forest",
         ),
     ).build(dataset.points)
 

@@ -30,6 +30,12 @@ class PipelineStage:
     def run(self, ctx: QueryBatchContext) -> None:  # pragma: no cover - interface
         raise NotImplementedError
 
+    def _store(self, ctx: QueryBatchContext):
+        """The context's datastore: the pinned snapshot's (immutable
+        under concurrent merges) or the live attribute without one."""
+        snap = ctx.snapshot
+        return snap.datastore if snap is not None else self.index.datastore
+
 
 class SearchPipeline:
     """Run the stage list over a context, timing each stage.

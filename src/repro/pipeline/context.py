@@ -28,7 +28,8 @@ class QueryBatchContext:
     """Mutable state shared by the pipeline stages of one search call.
 
     The lifecycle mirrors the stage order.  ``Plan`` fills the filter
-    outputs (``candidates`` / ``forest_stats`` / ``bound_totals``),
+    outputs (``candidates`` / ``forest_stats`` / ``bound_totals`` /
+    ``plan_route``),
     ``Fetch`` the storage outputs (``union`` / ``vectors`` and the page
     accounting), ``Refine`` the expansion scores, and ``Rerank`` the
     final per-query ``refined`` top-k pairs.  ``stage_seconds`` is
@@ -59,6 +60,10 @@ class QueryBatchContext:
     forest_stats: Optional[list] = None
     #: per-query Theorem-1 searching-bound totals, shape ``(B,)``.
     bound_totals: Optional[np.ndarray] = None
+    #: how Plan produced ``candidates``: ``"forest"`` (the BB-forest
+    #: walk) or ``"scan"`` (every live frozen point; see
+    #: :mod:`repro.pipeline.plan`).
+    plan_route: Optional[str] = None
 
     # -- Fetch outputs --------------------------------------------------
     #: sorted union of all candidate ids.

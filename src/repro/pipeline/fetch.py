@@ -51,12 +51,6 @@ def union_rows(
 class FetchStage(PipelineStage):
     name = "fetch"
 
-    def _store(self, ctx: QueryBatchContext):
-        """The context's datastore: the pinned snapshot's (immutable
-        under concurrent merges) or the live attribute without one."""
-        snap = ctx.snapshot
-        return snap.datastore if snap is not None else self.index.datastore
-
     def run(self, ctx: QueryBatchContext) -> None:
         pool = self.index.buffer_pool
         store = self._store(ctx)

@@ -16,12 +16,31 @@ then guarantees at least ``k_plan`` frozen candidates, of which at most
 filter applied after traversal (or all remaining live frozen points,
 when fewer than ``k`` exist -- the delta merge in Rerank supplies the
 rest).
+
+Routing (``BrePartitionConfig.plan_route``).  The walk pays off only
+when it keeps pages out of the fetch.  Before walking, ``auto`` reads
+Theorem 1's other side off the same tensor operands: the Cauchy lower
+bound ``LB = alpha_x + alpha_y + beta_yy - sqrt(gamma_x * delta_y)``
+(``beta_xy >= -sqrt(gamma * delta)``).  A point is *admitted* when its
+``LB`` is within the padded exact radius in at least one subspace for
+at least one query of the batch.  When the admitted live points span
+every page the live frozen points occupy, the bounds predict that the
+walk cannot save a page, so Plan skips the walk and the widening and
+hands every query all live frozen ids (``plan_route="scan"`` forces
+this; ``"forest"`` forces the walk).  There is no tuned threshold.
+The route cannot change results: the scan's candidates are a superset
+of any walk's, Theorem 3 only needs the true kNN to be among the
+candidates, and Refine and Rerank score and rank every candidate
+exactly with ties broken by id.  Only exact searches route -- an index
+whose ``_adjust_radii_batch`` hook shrinks the radii (ABP) always walks,
+since a full scan would silently turn it exact.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..bbtree.forest import ForestRangeStats
 from ..core.transforms import determine_search_bounds_batch, pad_radii
 from .base import PipelineStage
 from .context import QueryBatchContext
@@ -51,14 +70,40 @@ class PlanStage(PipelineStage):
         index = self.index
         transforms, partitioning, forest, k_plan = self._components(ctx)
         queries = ctx.queries
+        route = index.config.plan_route if index.uses_exact_radii else "forest"
         triples = transforms.query_triples_batch(queries)
-        ub_tensor = transforms.upper_bound_tensor(triples)
+        if route == "auto":
+            ub_tensor, lb_tensor = transforms.upper_bound_tensor(
+                triples, with_lower=True
+            )
+        else:
+            ub_tensor = transforms.upper_bound_tensor(triples)
         search_bounds = determine_search_bounds_batch(ub_tensor, k_plan)
         exact_radii = pad_radii(search_bounds.radii)
+        ctx.bound_totals = np.asarray(search_bounds.totals, dtype=float)
+
+        if route != "forest":
+            live = self._filter_live(ctx, np.arange(transforms.n_points))
+            if route == "auto":
+                admitted = (lb_tensor <= exact_radii[:, None, :]).any(axis=(0, 2))
+                saves = self._walk_saves_pages(ctx, live, live[admitted[live]])
+                route = "forest" if saves else "scan"
+        ctx.plan_route = route
+        if route == "scan":
+            ctx.candidates = [live] * ctx.n_queries
+            ctx.forest_stats = [
+                ForestRangeStats(
+                    per_subspace_candidates=[],
+                    union_candidates=int(live.size),
+                    leaves_visited=0,
+                )
+                for _ in range(ctx.n_queries)
+            ]
+            return
+
         radii = pad_radii(
             index._adjust_radii_batch(search_bounds, triples, transforms)
         )
-
         sub_matrices = partitioning.split_matrix(queries)
         candidates, forest_stats = forest.range_union_batch(
             sub_matrices, radii, point_filter=index.config.point_filter
@@ -78,7 +123,19 @@ class PlanStage(PipelineStage):
             candidates[q] = self._filter_live(ctx, candidates[q])
         ctx.candidates = candidates
         ctx.forest_stats = forest_stats
-        ctx.bound_totals = np.asarray(search_bounds.totals, dtype=float)
+
+    def _walk_saves_pages(self, ctx, live: np.ndarray, admitted: np.ndarray) -> bool:
+        """Do the admitted live points miss a page the live points use?
+
+        A point inside some query's subspace range has its lower bound
+        within that radius too, so a page without an admitted point
+        holds no in-range point and the walk is predicted to skip it.
+        When no such page exists the walk is predicted to save no I/O.
+        This is a prediction only (leaves are cluster-granular and the
+        bounds are loose); results never depend on it.
+        """
+        store = self._store(ctx)
+        return store.count_pages_of(admitted) < store.count_pages_of(live)
 
     def widen_if_short(
         self, forest, sub_queries, radii, exact_radii, k, candidates, forest_stats

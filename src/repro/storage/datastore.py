@@ -130,7 +130,11 @@ class DataStore:
             ids = np.fromiter(point_ids, dtype=int)
         if ids.size == 0:
             return np.empty(0, dtype=int)
-        return np.unique(self._pages[ids])
+        # page-membership mask: O(n) and already sorted, ~8x cheaper than
+        # np.unique on the per-query full-file candidate sets of a scan
+        touched = np.zeros(self.n_pages, dtype=bool)
+        touched[self._pages[ids]] = True
+        return np.flatnonzero(touched)
 
     # ------------------------------------------------------------------
     # I/O-charged access

@@ -209,11 +209,16 @@ class TestValidation:
 
 
 class TestStats:
-    def _index(self):
+    def _index(self, plan_route="forest"):
+        # the walk statistics below exist only on the forest route; the
+        # auto route scans this small set (see test_routed_stats)
         div = SquaredEuclidean()
         points = points_for(div, 120, 10, seed=56)
         index = BrePartitionIndex(
-            div, BrePartitionConfig(n_partitions=4, seed=0, page_size_bytes=512)
+            div,
+            BrePartitionConfig(
+                n_partitions=4, seed=0, page_size_bytes=512, plan_route=plan_route
+            ),
         ).build(points)
         return div, points, index
 
@@ -227,6 +232,22 @@ class TestStats:
         assert stats.search_bound > 0.0
         assert len(stats.per_subspace_candidates) == 4
         assert stats.leaves_visited > 0
+        assert stats.plan_route == "forest"
+
+    def test_routed_stats(self):
+        div, points, index = self._index(plan_route="scan")
+        index.delete(7)
+        result = index.search(points[0], k=5)
+        stats = result.stats
+        assert stats.plan_route == "scan"
+        assert stats.leaves_visited == 0
+        assert stats.per_subspace_candidates == []
+        assert stats.n_candidates == stats.points_evaluated == 119
+        assert stats.pages_read == index.datastore.n_pages
+        assert stats.search_bound > 0.0
+        live = np.delete(np.arange(120), 7)
+        oracle_ids, _ = brute_force_knn(div, points[live], points[0], 5)
+        np.testing.assert_array_equal(result.ids, live[oracle_ids])
 
     def test_io_bounded_by_total_pages(self):
         div, points, index = self._index()
@@ -349,3 +370,66 @@ class TestAlgorithm4:
             sub_div = div.restrict(dims)
             true = sub_div.batch_divergence(points[:, dims], q[dims])
             assert np.all(ub[:, i] >= true - 1e-9)
+
+    @pytest.mark.parametrize("name,div", all_decomposable_divergences(9))
+    def test_lower_bound_tensor_is_below_subspace_divergences(self, name, div):
+        """Theorem 1's other side (``beta_xy >= -sqrt(gamma * delta)``),
+        which Plan's routing admits points with; asking for it leaves the
+        upper bounds bitwise unchanged."""
+        points = points_for(div, 50, 9, seed=59)
+        partitioning = ContiguousPartitioner().partition(points, 3)
+        transforms = SubspaceTransforms(div, partitioning, points)
+        queries = points_for(div, 2, 9, seed=60)
+        triples = transforms.query_triples_batch(queries)
+        ub, lb = transforms.upper_bound_tensor(triples, with_lower=True)
+        np.testing.assert_array_equal(ub, transforms.upper_bound_tensor(triples))
+        for b, q in enumerate(queries):
+            for i, dims in enumerate(partitioning.subspaces):
+                true = div.restrict(dims).batch_divergence(points[:, dims], q[dims])
+                assert np.all(lb[b, :, i] <= true + 1e-9 * (1.0 + np.abs(true)))
+                assert np.all(lb[b, :, i] <= ub[b, :, i])
+
+
+def test_exact_engine_imports_and_searches_without_scipy():
+    """Only ABP's normal fit needs scipy; the exact engine, the package
+    root and the invariant linter must import and run with it blocked."""
+    import os
+    import subprocess
+    import sys
+    import textwrap
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    code = textwrap.dedent(
+        """
+        import sys
+        sys.modules["scipy"] = None
+        import numpy as np
+        import repro
+        import repro.analysis
+        from repro import BrePartitionConfig, BrePartitionIndex, ItakuraSaito
+
+        points = np.random.default_rng(0).uniform(0.5, 2.0, size=(300, 8))
+        index = BrePartitionIndex(ItakuraSaito(), BrePartitionConfig(seed=0))
+        index.build(points)
+        batch = index.search_batch(points[:3], 4)
+        assert [r.ids[0] for r in batch] == [0, 1, 2], batch.ids
+        assert index.search(points[5], 4).ids[0] == 5
+        assert "scipy.stats" not in sys.modules
+        print("ok")
+        """
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "ok"

@@ -24,6 +24,7 @@ from repro import (
     SquaredEuclidean,
     brute_force_knn,
 )
+from repro.core.config import PLAN_ROUTES
 from repro.exceptions import (
     DomainError,
     InvalidParameterError,
@@ -59,16 +60,22 @@ def build_index(divergence, points, **config_kwargs):
 
 
 class TestPipelineOracleParity:
-    """Acceptance: staged-pipeline results are bitwise the oracle's."""
+    """Acceptance: staged-pipeline results are bitwise the oracle's, on
+    every Plan route (forest walk, full scan, or the cost-based pick)."""
 
+    @pytest.mark.parametrize("route", PLAN_ROUTES)
     @pytest.mark.parametrize("name,divergence", all_decomposable_divergences(DIM))
-    def test_batch_matches_brute_force_bitwise(self, name, divergence):
+    def test_batch_matches_brute_force_bitwise(self, name, divergence, route):
         from repro.exec import shared_memory_available
 
         points = points_for(divergence, N_POINTS, DIM, seed=1)
         queries = points_for(divergence, N_QUERIES, DIM, seed=2)
         index = build_index(
-            divergence, points, n_shards=4, page_size_bytes=PAGE_BYTES
+            divergence,
+            points,
+            n_shards=4,
+            page_size_bytes=PAGE_BYTES,
+            plan_route=route,
         )
         index.config.shard_workers = 4
         backends = ["serial"]
@@ -93,16 +100,107 @@ class TestPipelineOracleParity:
         finally:
             index.close()
 
+    @pytest.mark.parametrize("route", PLAN_ROUTES)
     @pytest.mark.parametrize("name,divergence", all_decomposable_divergences(DIM))
-    def test_single_search_matches_brute_force_bitwise(self, name, divergence):
+    def test_single_search_matches_brute_force_bitwise(self, name, divergence, route):
         points = points_for(divergence, N_POINTS, DIM, seed=1)
         queries = points_for(divergence, 4, DIM, seed=2)
-        index = build_index(divergence, points)
+        index = build_index(divergence, points, plan_route=route)
         for query in queries:
             result = index.search(query, K)
             oracle_ids, oracle_divs = brute_force_knn(divergence, points, query, K)
             np.testing.assert_array_equal(result.ids, oracle_ids)
             np.testing.assert_array_equal(result.divergences, oracle_divs)
+
+
+def assert_oracle_parity(divergence, points, queries, batch, k=K):
+    for query, result in zip(queries, batch):
+        oracle_ids, oracle_divs = brute_force_knn(divergence, points, query, k)
+        np.testing.assert_array_equal(result.ids, oracle_ids)
+        np.testing.assert_array_equal(result.divergences, oracle_divs)
+
+
+class TestPlanRouting:
+    """Plan routes around the forest walk only when Theorem 1's lower
+    bounds admit points on every live page, and never changes results."""
+
+    def test_replicated_shards_scan_route_parity(self):
+        divergence = ItakuraSaito()
+        points = points_for(divergence, N_POINTS, DIM, seed=1)
+        queries = points_for(divergence, N_QUERIES, DIM, seed=2)
+        index = build_index(
+            divergence,
+            points,
+            n_shards=4,
+            replication_factor=2,
+            shard_workers=4,
+            page_size_bytes=PAGE_BYTES,
+            plan_route="scan",
+        )
+        batch = index.search_batch(queries, K)
+        assert_oracle_parity(divergence, points, queries, batch)
+        assert batch.stats.pages_coalesced == index.datastore.n_pages
+        assert sum(batch.stats.pages_read_per_shard) == index.datastore.n_pages
+        assert {r.stats.plan_route for r in batch} == {"scan"}
+
+    @pytest.mark.parametrize("route", PLAN_ROUTES)
+    def test_approximate_index_never_routes(self, route):
+        from repro import ApproximateBrePartitionIndex
+
+        divergence = ItakuraSaito()
+        points = points_for(divergence, N_POINTS, DIM, seed=1)
+        queries = points_for(divergence, N_QUERIES, DIM, seed=2)
+        index = ApproximateBrePartitionIndex(
+            divergence,
+            probability=0.9,
+            config=BrePartitionConfig(
+                n_partitions=3, seed=0, point_filter=True, plan_route=route
+            ),
+        ).build(points)
+        batch = index.search_batch(queries, K)
+        assert {r.stats.plan_route for r in batch} == {"forest"}
+        assert all(r.stats.leaves_visited > 0 for r in batch)
+        assert batch.stats.n_candidates < N_QUERIES * N_POINTS
+
+    def test_auto_walks_when_admitted_points_miss_a_page(self):
+        """A tight cluster at the origin and a far shell: the lower
+        bounds of queries inside the cluster admit no shell point, so
+        the walk saves the shell's pages and ``auto`` takes it."""
+        rng = np.random.default_rng(7)
+        divergence = SquaredEuclidean()
+        cluster = rng.normal(scale=0.01, size=(120, DIM))
+        shell = rng.normal(size=(120, DIM))
+        shell *= 50.0 / np.linalg.norm(shell, axis=1, keepdims=True)
+        points = np.vstack([cluster, shell])
+        queries = rng.normal(scale=0.01, size=(N_QUERIES, DIM))
+        index = build_index(divergence, points, page_size_bytes=PAGE_BYTES)
+        batch = index.search_batch(queries, K)
+        assert_oracle_parity(divergence, points, queries, batch)
+        assert {r.stats.plan_route for r in batch} == {"forest"}
+        assert all(r.stats.leaves_visited > 0 for r in batch)
+        assert batch.stats.pages_read < index.datastore.n_pages
+
+    def test_auto_scans_a_fonts_batch(self):
+        """The fonts proxy at B=64: the admitted points span every page,
+        so ``auto`` skips the walk and reads the whole file once."""
+        from repro.datasets import load_dataset
+
+        dataset = load_dataset("fonts", n=2000, n_queries=64)
+        index = BrePartitionIndex(
+            dataset.divergence,
+            BrePartitionConfig(page_size_bytes=dataset.page_size_bytes, seed=0),
+        ).build(dataset.points)
+        queries = dataset.queries
+        batch = index.search_batch(queries, K)
+        assert {r.stats.plan_route for r in batch} == {"scan"}
+        assert all(r.stats.leaves_visited == 0 for r in batch)
+        assert all(r.stats.n_candidates == dataset.n for r in batch)
+        assert batch.stats.pages_read == index.datastore.n_pages
+        assert_oracle_parity(dataset.divergence, dataset.points, queries, batch)
+
+    def test_plan_route_validated(self):
+        with pytest.raises(InvalidParameterError, match="plan_route must be one of"):
+            BrePartitionConfig(plan_route="walk")
 
 
 class TestChooseKernelEdges:

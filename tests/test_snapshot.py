@@ -258,6 +258,30 @@ class TestMerge:
         queries = list(points_for(div, 3, 6, seed=14))
         _assert_matches_oracle(index, div, live, queries, k=5)
 
+    @pytest.mark.parametrize("name,div", all_decomposable_divergences(6))
+    def test_scan_route_parity_across_rebuild(self, name, div):
+        """Plan's scan route (every live frozen point a candidate) stays
+        bitwise exact with tombstones and a delta buffer pending, and
+        again after a rebuild merge renumbers the frozen rows."""
+        points, index = _build(div, plan_route="scan")
+        live = _live_map(points)
+        for vec in points_for(div, 6, 6, seed=15):
+            live[index.insert(vec)] = vec
+        for victim in (0, 17, 30):
+            index.delete(victim)
+            del live[victim]
+        queries = list(points_for(div, 3, 6, seed=16))
+        _assert_matches_oracle(index, div, live, queries, k=5)
+        before = index.search_batch(np.stack(queries), 5)
+        assert {r.stats.plan_route for r in before} == {"scan"}
+        assert all(r.stats.n_candidates == 45 for r in before)
+        assert all(r.stats.delta_candidates == 6 for r in before)
+        index.merge(mode="rebuild")
+        _assert_matches_oracle(index, div, live, queries, k=5)
+        after = index.search_batch(np.stack(queries), 5)
+        assert all(r.stats.n_candidates == 51 for r in after)
+        assert all(r.stats.leaves_visited == 0 for r in after)
+
     def test_rebuild_compacts_extend_carries_dead_rows(self):
         div = SquaredEuclidean()
         points, index = _build(div)
