@@ -1,7 +1,6 @@
-"""Parallel shard fan-out + sparse refinement + process-pool benchmark.
+"""Parallel shard fan-out + sparse refinement benchmark.
 
-ISSUE 3 + ISSUE 9 acceptance, three claims recorded in
-``BENCH_parallel.json``:
+Two claims recorded in ``BENCH_parallel.json``:
 
 1. **Fan-out**: with 4 shards and ``shard_workers=4``, end-to-end
    ``search_batch`` at B=64 runs >= 2x faster than the sequential
@@ -27,26 +26,11 @@ ISSUE 3 + ISSUE 9 acceptance, three claims recorded in
    measured on identical inputs and must return bitwise-identical
    results.
 
-3. **Refine scaling** (ISSUE 9): on a compute-bound batch (B=64, zero
-   modeled IOPS -- nothing to overlap, the regime where ``shard_workers``
-   buys ~1x) the shared-memory multiprocess refinement backend
-   (``refine_backend="process"``) scales the Refine stage across worker
-   processes with bitwise-identical results at every width.  The
-   slow-marked target is >= 2x end-to-end at 4 workers *on a >= 4-core
-   host*; the checked-in JSON records whatever the measuring host could
-   honestly show, annotated with its ``host_cpus`` (a 1-core host
-   records a slowdown -- four processes sharing one core pay dispatch
-   overhead for nothing, which is exactly why ``auto`` exists).  A
-   combined row stacks shard fan-out (overlapping modeled I/O) with the
-   process refine backend (overlapping compute) against the fully
-   serial engine.
-
 Running the file directly rewrites ``BENCH_parallel.json`` at the repo
 root.  ``--smoke`` runs a seconds-scale end-to-end pass over the whole
-{dense, sparse, auto} x {1, 4} shard-workers matrix plus the
-{serial, process} x {1, 2} refine-backend matrix (skipped gracefully
-where shared memory is unavailable) with parity and accounting
-assertions but no timing claims -- what CI exercises on every push.
+{dense, sparse, auto} x {1, 4} shard-workers matrix with parity and
+accounting assertions but no timing claims -- what CI exercises on
+every push.
 Under pytest, parity checks run by default and the timing assertions
 are ``slow``-marked.
 """
@@ -64,7 +48,6 @@ import pytest
 
 from repro import BrePartitionConfig, BrePartitionIndex
 from repro.datasets import load_dataset
-from repro.exec import shared_memory_available
 from repro.storage import DiskAccessTracker
 
 DATASET = "fonts"
@@ -83,10 +66,6 @@ FANOUT_PAGE_BYTES = 16384
 FANOUT_LEAF_CAPACITY = 40
 FANOUT_PARTITIONS = 4
 TARGET_FANOUT_SPEEDUP = 2.0
-
-# refine-scaling arm: same B=64 batch, I/O free -- pure compute.
-REFINE_WIDTHS = (1, 2, 4)
-TARGET_REFINE_SPEEDUP = 2.0
 
 # sparse arm: B=256, Pareto-skewed candidate sets (mean ~32 of a
 # ~1744-row union, heavy tail up to the full file).
@@ -156,97 +135,12 @@ def measure_fanout(dataset, index, workers_list=FANOUT_WORKERS):
     return rows
 
 
-# ----------------------------------------------------------------------
-# refine-scaling arm (process-pool backend)
-# ----------------------------------------------------------------------
-
-
 def host_cpus() -> int:
     """CPUs this process may actually run on (honesty annotation)."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # pragma: no cover - non-Linux
         return os.cpu_count() or 1
-
-
-def measure_refine_scaling(dataset, index, widths=REFINE_WIDTHS):
-    """Serial vs process backend on a zero-IOPS (compute-bound) batch.
-
-    Asserts bitwise parity at every pool width; returns timing rows with
-    speedups relative to the serial backend.
-    """
-    queries = dataset.queries[:B_FANOUT]
-    index.config.refine_backend = "serial"
-    reference = index.search_batch(queries, K)
-    assert reference.stats.refine_backend == "serial"
-    serial_seconds = _best_of(lambda: index.search_batch(queries, K))
-    rows = [
-        {
-            "backend": "serial",
-            "refine_workers": 1,
-            "seconds": serial_seconds,
-            "speedup_vs_serial": 1.0,
-        }
-    ]
-    if not shared_memory_available():
-        return rows
-    index.config.refine_backend = "process"
-    index.config.min_refine_rows_per_worker = 1
-    for width in widths:
-        index.config.refine_workers = width
-        batch = index.search_batch(queries, K)
-        assert batch.stats.refine_backend == "process"
-        assert batch.stats.refine_workers == width
-        assert batch.stats.pages_read == reference.stats.pages_read
-        for a, b in zip(reference, batch):
-            np.testing.assert_array_equal(a.ids, b.ids)
-            np.testing.assert_array_equal(a.divergences, b.divergences)
-        seconds = _best_of(lambda: index.search_batch(queries, K))
-        rows.append(
-            {
-                "backend": "process",
-                "refine_workers": width,
-                "seconds": seconds,
-                "speedup_vs_serial": serial_seconds / seconds,
-            }
-        )
-    index.config.refine_backend = "serial"
-    index.close()
-    return rows
-
-
-def measure_combined(dataset, index):
-    """Everything on: shard fan-out over modeled I/O + process refine.
-
-    One row comparing the fully serial engine (1 shard worker, serial
-    refine) against the fully parallel one (4 shard workers overlapping
-    disk waits, 4 refine processes overlapping compute), bitwise-equal
-    results asserted.
-    """
-    queries = dataset.queries[:B_FANOUT]
-    index.config.shard_workers = 1
-    index.config.refine_backend = "serial"
-    reference = index.search_batch(queries, K)
-    serial_seconds = _best_of(lambda: index.search_batch(queries, K))
-    row = {"serial_seconds": serial_seconds}
-    if shared_memory_available():
-        index.config.shard_workers = 4
-        index.config.refine_backend = "process"
-        index.config.refine_workers = 4
-        index.config.min_refine_rows_per_worker = 1
-        batch = index.search_batch(queries, K)
-        for a, b in zip(reference, batch):
-            np.testing.assert_array_equal(a.ids, b.ids)
-            np.testing.assert_array_equal(a.divergences, b.divergences)
-        parallel_seconds = _best_of(lambda: index.search_batch(queries, K))
-        row.update(
-            parallel_seconds=parallel_seconds,
-            shard_workers=4,
-            refine_workers=4,
-            speedup_vs_serial=serial_seconds / parallel_seconds,
-        )
-    index.close()
-    return row
 
 
 # ----------------------------------------------------------------------
@@ -345,14 +239,6 @@ def test_sparse_matches_dense_on_skewed_candidates():
     measure_sparse(dataset, index, n_queries=64)  # asserts parity
 
 
-def test_refine_backends_bitwise_identical():
-    if not shared_memory_available():
-        pytest.skip("no POSIX shared memory on this platform")
-    dataset, index = make_fanout_index(n_points=600, iops=None)
-    # widths (1, 2) keep this seconds-scale; parity is what matters here
-    measure_refine_scaling(dataset, index, widths=(1, 2))  # asserts parity
-
-
 @pytest.mark.slow
 def test_parallel_fanout_at_least_2x_at_64():
     dataset, index = make_fanout_index()
@@ -363,25 +249,6 @@ def test_parallel_fanout_at_least_2x_at_64():
         f"workers=4: {speedup:.2f}x (target {TARGET_FANOUT_SPEEDUP}x)"
     )
     assert speedup >= TARGET_FANOUT_SPEEDUP
-
-
-@pytest.mark.slow
-def test_refine_scaling_at_least_2x_at_4():
-    if not shared_memory_available():
-        pytest.skip("no POSIX shared memory on this platform")
-    if host_cpus() < 4:
-        pytest.skip(
-            f"host exposes {host_cpus()} CPU(s); the >= "
-            f"{TARGET_REFINE_SPEEDUP}x multi-core target needs >= 4"
-        )
-    dataset, index = make_fanout_index(iops=None)
-    rows = measure_refine_scaling(dataset, index, widths=(4,))
-    speedup = rows[-1]["speedup_vs_serial"]
-    print(
-        f"\nprocess refine speedup at B={B_FANOUT}, 4 workers: "
-        f"{speedup:.2f}x (target {TARGET_REFINE_SPEEDUP}x)"
-    )
-    assert speedup >= TARGET_REFINE_SPEEDUP
 
 
 @pytest.mark.slow
@@ -441,37 +308,9 @@ def smoke() -> None:
                 )
             combos += 1
     assert sum(index.datastore.shard_pages_read) == tracker.total_pages_read
-
-    # process-backend matrix: {serial, process} x {1, 2} pool workers,
-    # parity plus page accounting (process workers never charge pages)
-    backend_combos = 0
-    if shared_memory_available():
-        index.config.refine_kernel = "auto"
-        index.config.shard_workers = 1
-        index.config.min_refine_rows_per_worker = 1
-        serial_pages = None
-        for backend in ("serial", "process"):
-            for pool_workers in (1, 2):
-                index.config.refine_backend = backend
-                index.config.refine_workers = pool_workers
-                batch = index.search_batch(queries, K)
-                assert batch.stats.refine_backend == backend
-                if serial_pages is None:
-                    serial_pages = batch.stats.pages_read
-                assert batch.stats.pages_read == serial_pages
-                for single, batched in zip(reference, batch):
-                    np.testing.assert_array_equal(single.ids, batched.ids)
-                    np.testing.assert_array_equal(
-                        single.divergences, batched.divergences
-                    )
-                backend_combos += 1
-        index.close()
-        backend_note = f", {backend_combos} backend/pool-width combos"
-    else:  # no POSIX shared memory: the process matrix has nothing to run
-        backend_note = ", process backend skipped (no shared memory)"
     print(
         f"smoke OK: {combos} kernel/worker combos bitwise-identical to "
-        f"per-query search{backend_note}, shard accounting exact "
+        f"per-query search, shard accounting exact "
         f"({tracker.total_pages_read} pages across {N_SHARDS} shards)"
     )
 
@@ -493,42 +332,12 @@ def main() -> None:
 
     nolat_dataset, nolat_index = make_fanout_index(iops=None)
     nolat_rows = measure_fanout(nolat_dataset, nolat_index, workers_list=(1, 4))
-    print(
-        f"  (zero-latency control: workers=4 speedup "
-        f"{nolat_rows[-1]['speedup_vs_sequential']:.2f}x -- GIL-bound on a "
-        f"single-core host, the win comes from overlapping I/O waits)"
-    )
-
-    scaling_dataset, scaling_index = make_fanout_index(iops=None)
-    scaling_rows = measure_refine_scaling(scaling_dataset, scaling_index)
     cpus = host_cpus()
     print(
-        f"refine scaling: B={B_FANOUT}, zero IOPS (compute-bound), "
-        f"host exposes {cpus} CPU(s)"
+        f"  (zero-latency control: workers=4 speedup "
+        f"{nolat_rows[-1]['speedup_vs_sequential']:.2f}x on {cpus} CPU(s) -- "
+        f"GIL-bound arithmetic, the win comes from overlapping I/O waits)"
     )
-    for row in scaling_rows:
-        print(
-            f"  {row['backend']:7s} workers={row['refine_workers']}: "
-            f"{row['seconds'] * 1e3:8.1f}ms  "
-            f"speedup {row['speedup_vs_serial']:5.2f}x"
-        )
-    if cpus < 4:
-        print(
-            f"  (host exposes {cpus} CPU(s): process workers share cores, "
-            f"so the >= {TARGET_REFINE_SPEEDUP}x multi-core target is "
-            "unmeasurable here; the slow-marked pytest entry asserts it "
-            "on capable hosts)"
-        )
-
-    combined_dataset, combined_index = make_fanout_index()
-    combined_row = measure_combined(combined_dataset, combined_index)
-    if "parallel_seconds" in combined_row:
-        print(
-            f"combined: serial {combined_row['serial_seconds'] * 1e3:.1f}ms vs "
-            f"4 shard workers + 4 refine processes "
-            f"{combined_row['parallel_seconds'] * 1e3:.1f}ms "
-            f"({combined_row['speedup_vs_serial']:.2f}x)"
-        )
 
     sparse_dataset, sparse_index = make_sparse_index()
     sparse_row = measure_sparse(sparse_dataset, sparse_index)
@@ -550,6 +359,7 @@ def main() -> None:
         "divergence": sparse_dataset.divergence.name,
         "k": K,
         "reps": REPS,
+        "host_cpus": cpus,
         "fanout": {
             "batch_size": B_FANOUT,
             "n_shards": N_SHARDS,
@@ -574,30 +384,6 @@ def main() -> None:
                     nolat_rows[-1]["speedup_vs_sequential"], 3
                 ),
             },
-        },
-        "refine_scaling": {
-            "batch_size": B_FANOUT,
-            "modeled_iops": None,
-            "host_cpus": cpus,
-            "target_speedup_workers4": TARGET_REFINE_SPEEDUP,
-            "note": (
-                "speedups are honest measurements on the host above; the "
-                ">= 2x multi-core claim is asserted by the slow-marked "
-                "pytest entry on hosts with >= 4 CPUs"
-            ),
-            "results": [
-                {
-                    "backend": row["backend"],
-                    "refine_workers": row["refine_workers"],
-                    "seconds": round(row["seconds"], 6),
-                    "speedup_vs_serial": round(row["speedup_vs_serial"], 3),
-                }
-                for row in scaling_rows
-            ],
-        },
-        "combined_fanout_plus_refine": {
-            key: (round(value, 6) if isinstance(value, float) else value)
-            for key, value in combined_row.items()
         },
         "sparse_refinement": {
             key: (round(value, 6) if isinstance(value, float) else value)

@@ -96,34 +96,6 @@ def main() -> None:
         assert np.array_equal(before.ids, after.ids), "workers must not change results"
     print("verified: parallel fan-out identical to sequential fan-out")
 
-    # Break the GIL: threads overlap I/O waits, but refinement compute
-    # is GIL-serialised -- refine_workers=4 scores the batch's candidate
-    # union across 4 worker *processes* over shared-memory slabs instead
-    # (the CLI exposes this as `--refine-workers 4 --refine-backend
-    # {auto,serial,process}`).  Scores are bitwise identical; "auto"
-    # falls back to serial below the amortization floor, and the pool's
-    # workers spawn lazily and persist across batches until close().
-    from repro.exec import shared_memory_available
-
-    if shared_memory_available():
-        index.config.refine_backend = "process"
-        index.config.refine_workers = 4
-        index.config.min_refine_rows_per_worker = 1
-        process_batch = index.search_batch(queries, k=10)
-        print(f"\nprocess refinement: backend "
-              f"{process_batch.stats.refine_backend!r} with "
-              f"{process_batch.stats.refine_workers} workers, pages read "
-              f"{process_batch.stats.pages_read} (unchanged -- workers "
-              f"read shared memory, never the disk)")
-        for before, after in zip(parallel_batch, process_batch):
-            assert np.array_equal(before.ids, after.ids), \
-                "process pool must not change results"
-        print("verified: multiprocess refinement identical to serial")
-        index.config.refine_backend = "auto"
-        index.config.refine_workers = 1
-        index.config.min_refine_rows_per_worker = 1024
-        index.close()  # releases the pool; the index stays usable
-
     # Every search runs the staged pipeline (Plan -> Fetch -> Refine ->
     # Rerank); per-stage wall time shows where batch time goes.
     split = "  ".join(f"{name} {seconds * 1e3:.1f}ms"

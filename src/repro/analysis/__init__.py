@@ -17,7 +17,7 @@ rests on -- conventions that previously lived only in review notes:
   ``np.dot``/``@``/axis-less ``sum`` (PR 4's bitwise-parity contract).
 * ``shm-lifecycle`` -- every ``SharedMemory(create=True)`` must reach
   ``close()`` + ``unlink()`` on all paths; every attach must reach
-  ``close()`` (PR 9's slab contract).
+  ``close()``, so no exception path leaks a slab.
 
 Findings carry ``file:line``, a rule id, and a fix hint.  A finding is
 silenced either by an inline ``# repro: noqa[RULE]`` on the offending

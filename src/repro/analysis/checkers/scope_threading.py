@@ -1,16 +1,14 @@
 """scope-threading: page charges must thread an explicit ``scope=``.
 
-PR 5 made every I/O charge attributable to a query by threading a
+Every I/O charge is attributable to a query by threading a
 :class:`~repro.storage.io_stats.QueryScope` through the call chain;
-the ambient ``start_query``/``end_query`` wrapper survives only for
-the single-threaded legacy baselines.  This checker enforces both
-halves:
+the tracker has no ambient scope.  This checker enforces both halves:
 
 * inside ``pipeline/``, ``exec/`` and ``serve/``, any call to a
   charge-accruing method (``charge_pages_for``, ``charge_shard*``,
   ``fetch``, ``scan``, ``BufferPool.access``) must pass ``scope=``;
-* ambient ``start_query()``/``end_query()`` calls are allowed only
-  under ``baselines/``.
+* a call to the removed ambient ``start_query``/``end_query`` pair is
+  a finding in every directory, so the API cannot come back.
 """
 
 from __future__ import annotations
@@ -41,10 +39,7 @@ SCOPE_REQUIRED = frozenset(
 #: directories whose code runs concurrent queries and must be explicit
 SCOPED_DIRS = ("pipeline", "exec", "serve")
 
-#: the only place the ambient wrapper is still tolerated
-AMBIENT_WHITELIST_DIRS = ("baselines",)
-
-#: legacy ambient wrapper entry points
+#: removed ambient-scope entry points
 AMBIENT = frozenset({"start_query", "end_query"})
 
 
@@ -52,13 +47,12 @@ class ScopeThreadingChecker(Checker):
     rule = "scope-threading"
     hint = (
         "thread the QueryScope explicitly: pass scope=<ctx.scope / active "
-        "scope>; ambient start_query/end_query is legacy-baseline only"
+        "scope>; there is no ambient start_query/end_query"
     )
 
     def collect(self, module: SourceModule) -> List[Finding]:
         findings: List[Finding] = []
         in_scoped_dir = module.in_dir(*SCOPED_DIRS)
-        ambient_ok = module.in_dir(*AMBIENT_WHITELIST_DIRS)
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -78,17 +72,16 @@ class ScopeThreadingChecker(Checker):
                             f"scope= in concurrent-query code",
                         )
                     )
-            if name in AMBIENT and not ambient_ok and not node.args:
-                # start_query()/end_query() take no arguments; anything
-                # with positional args is an unrelated method.
+            if name in AMBIENT and not node.args:
+                # the ambient pair took no arguments; anything with
+                # positional args is an unrelated method.
                 parts = dotted_parts(func.value)
                 receiver = ".".join(parts) if parts else "<expr>"
                 findings.append(
                     self.finding(
                         module,
                         node,
-                        f"ambient {receiver}.{name}() outside the legacy "
-                        f"baseline whitelist",
+                        f"ambient {receiver}.{name}() (removed API)",
                         hint=(
                             "use `with tracker.scope() as scope:` and pass "
                             "scope= through the charge calls instead"

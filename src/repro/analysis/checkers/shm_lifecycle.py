@@ -1,11 +1,11 @@
 """shm-lifecycle: shared-memory slabs must be released on every path.
 
-PR 9's process pool ships score slabs through
-``multiprocessing.shared_memory.SharedMemory``.  The kernel object
-backing a segment survives the process unless *someone* calls
-``unlink()``, and each attached handle pins a file descriptor until
-``close()`` -- so a single exception path that skips either leaks a
-slab for the life of the machine.
+Slabs shipped between processes through
+``multiprocessing.shared_memory.SharedMemory`` must be released: the
+kernel object backing a segment survives the process unless *someone*
+calls ``unlink()``, and each attached handle pins a file descriptor
+until ``close()`` -- so a single exception path that skips either
+leaks a slab for the life of the machine.
 
 Contract checked per function, for every ``name = SharedMemory(...)``
 binding:

@@ -9,6 +9,7 @@ through the I/O-charged datastore.
 
 from __future__ import annotations
 
+import functools
 import time
 
 import numpy as np
@@ -75,11 +76,12 @@ class BBTreeIndex:
         if not 1 <= k <= n:
             raise InvalidParameterError(f"k must be in [1, {n}], got {k}")
 
-        self.tracker.start_query()
         start = time.perf_counter()
-        ids, dists, knn_stats = self.tree.knn(query, k, fetcher=self.datastore.fetch)
-        elapsed = time.perf_counter() - start
-        snapshot = self.tracker.end_query()
+        with self.tracker.scope() as scope:
+            fetch = functools.partial(self.datastore.fetch, scope=scope)
+            ids, dists, knn_stats = self.tree.knn(query, k, fetcher=fetch)
+            elapsed = time.perf_counter() - start
+            snapshot = scope.snapshot()
         stats = QueryStats(
             pages_read=snapshot.pages_read,
             cpu_seconds=elapsed,

@@ -64,12 +64,12 @@ class LinearScanIndex:
         if not 1 <= k <= n:
             raise InvalidParameterError(f"k must be in [1, {n}], got {k}")
 
-        self.tracker.start_query()
         start = time.perf_counter()
-        points = self.datastore.scan()
-        ids, dists = brute_force_knn(self.divergence, points, query, k)
-        elapsed = time.perf_counter() - start
-        snapshot = self.tracker.end_query()
+        with self.tracker.scope() as scope:
+            points = self.datastore.scan(scope=scope)
+            ids, dists = brute_force_knn(self.divergence, points, query, k)
+            elapsed = time.perf_counter() - start
+            snapshot = scope.snapshot()
         stats = QueryStats(
             pages_read=snapshot.pages_read,
             cpu_seconds=elapsed,
@@ -97,21 +97,21 @@ class LinearScanIndex:
         if not 1 <= k <= n:
             raise InvalidParameterError(f"k must be in [1, {n}], got {k}")
 
-        self.tracker.start_query()
         start = time.perf_counter()
-        points = self.datastore.scan()
-        solo_pages = self.datastore.n_pages
-        results = []
-        for query in queries:
-            ids, dists = brute_force_knn(self.divergence, points, query, k)
-            stats = QueryStats(
-                pages_read=solo_pages,
-                n_candidates=n,
-                points_evaluated=n,
-            )
-            results.append(SearchResult(ids=ids, divergences=dists, stats=stats))
-        elapsed = time.perf_counter() - start
-        snapshot = self.tracker.end_query()
+        with self.tracker.scope() as scope:
+            points = self.datastore.scan(scope=scope)
+            solo_pages = self.datastore.n_pages
+            results = []
+            for query in queries:
+                ids, dists = brute_force_knn(self.divergence, points, query, k)
+                stats = QueryStats(
+                    pages_read=solo_pages,
+                    n_candidates=n,
+                    points_evaluated=n,
+                )
+                results.append(SearchResult(ids=ids, divergences=dists, stats=stats))
+            elapsed = time.perf_counter() - start
+            snapshot = scope.snapshot()
         n_queries = queries.shape[0]
         if n_queries:
             for result in results:

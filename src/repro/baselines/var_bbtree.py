@@ -111,47 +111,47 @@ class VarBBTreeIndex:
         if not 1 <= k <= n:
             raise InvalidParameterError(f"k must be in [1, {n}], got {k}")
 
-        self.tracker.start_query()
         start = time.perf_counter()
-        tolerance = 1.0 - self.target_probability
+        with self.tracker.scope() as scope:
+            tolerance = 1.0 - self.target_probability
 
-        best: list[tuple[float, int]] = []  # max-heap of (-div, id)
-        root = self.tree.root
-        frontier = [(self.tree._lower_bound(root, query), next(_counter), root)]
-        leaves_visited = 0
-        points_evaluated = 0
-        while frontier:
-            lb, _, node = heapq.heappop(frontier)
-            if len(best) == k:
-                kth = -best[0][0]
-                if lb >= kth:
-                    break
-                # Variational early stop: even the most promising node is
-                # unlikely to improve the current result.
-                if self._improvement_estimate(node, query, kth) < tolerance:
-                    break
-            if node.is_leaf:
-                leaves_visited += 1
-                vectors = self.datastore.fetch(node.point_ids)
-                dists = self.divergence.batch_divergence(vectors, query)
-                points_evaluated += len(node.point_ids)
-                for dist, pid in zip(dists, node.point_ids):
-                    entry = (-float(dist), int(pid))
-                    if len(best) < k:
-                        heapq.heappush(best, entry)
-                    elif entry > best[0]:
-                        heapq.heapreplace(best, entry)
-            else:
-                for child in (node.left, node.right):
-                    if child is None:
-                        continue
-                    child_lb = self.tree._lower_bound(child, query)
-                    if len(best) < k or child_lb < -best[0][0]:
-                        heapq.heappush(frontier, (child_lb, next(_counter), child))
+            best: list[tuple[float, int]] = []  # max-heap of (-div, id)
+            root = self.tree.root
+            frontier = [(self.tree._lower_bound(root, query), next(_counter), root)]
+            leaves_visited = 0
+            points_evaluated = 0
+            while frontier:
+                lb, _, node = heapq.heappop(frontier)
+                if len(best) == k:
+                    kth = -best[0][0]
+                    if lb >= kth:
+                        break
+                    # Variational early stop: even the most promising node is
+                    # unlikely to improve the current result.
+                    if self._improvement_estimate(node, query, kth) < tolerance:
+                        break
+                if node.is_leaf:
+                    leaves_visited += 1
+                    vectors = self.datastore.fetch(node.point_ids, scope=scope)
+                    dists = self.divergence.batch_divergence(vectors, query)
+                    points_evaluated += len(node.point_ids)
+                    for dist, pid in zip(dists, node.point_ids):
+                        entry = (-float(dist), int(pid))
+                        if len(best) < k:
+                            heapq.heappush(best, entry)
+                        elif entry > best[0]:
+                            heapq.heapreplace(best, entry)
+                else:
+                    for child in (node.left, node.right):
+                        if child is None:
+                            continue
+                        child_lb = self.tree._lower_bound(child, query)
+                        if len(best) < k or child_lb < -best[0][0]:
+                            heapq.heappush(frontier, (child_lb, next(_counter), child))
 
-        ordered = sorted(((-neg, pid) for neg, pid in best))
-        elapsed = time.perf_counter() - start
-        snapshot = self.tracker.end_query()
+            ordered = sorted(((-neg, pid) for neg, pid in best))
+            elapsed = time.perf_counter() - start
+            snapshot = scope.snapshot()
         stats = QueryStats(
             pages_read=snapshot.pages_read,
             cpu_seconds=elapsed,

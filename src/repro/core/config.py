@@ -13,24 +13,14 @@ from ..partitioning.scheme import PartitionStrategy
 __all__ = [
     "BrePartitionConfig",
     "REFINE_KERNELS",
-    "REFINE_BACKENDS",
-    "REFINE_START_METHODS",
     "PLAN_ROUTES",
 ]
 
 #: valid values of :attr:`BrePartitionConfig.refine_kernel`.
 REFINE_KERNELS = ("auto", "dense", "sparse")
 
-#: valid values of :attr:`BrePartitionConfig.refine_backend`.
-REFINE_BACKENDS = ("auto", "serial", "process")
-
 #: valid values of :attr:`BrePartitionConfig.plan_route`.
 PLAN_ROUTES = ("auto", "forest", "scan")
-
-#: valid non-``None`` values of
-#: :attr:`BrePartitionConfig.refine_start_method`; availability is
-#: platform-dependent and checked at pool construction.
-REFINE_START_METHODS = ("forkserver", "spawn", "fork")
 
 
 @dataclass
@@ -83,54 +73,13 @@ class BrePartitionConfig:
         (candidate, query) pairs through the grouped kernel, ``"auto"``
         (default) picks sparse when the mean per-query candidate density
         over the union falls below ``sparse_density_threshold``.  All
-        three return bitwise-identical results.
+        three return bitwise-identical results.  Scoring runs serially
+        in the thread that runs the batch.
     sparse_density_threshold:
         ``auto`` routes to the sparse kernel when
         ``mean(|candidates_q|) / |union|`` is below this.  The sparse
         kernel pays gather traffic per pair, so the break-even sits
         around 1/3 candidate density.
-    refine_backend:
-        Where batch refinement scoring runs: ``"serial"`` in-process
-        (the GIL-bound default path), ``"process"`` always through the
-        shared-memory :class:`~repro.exec.RefinementProcessPool`
-        (``refine_workers`` worker processes; raises
-        :class:`~repro.exceptions.RefinementPoolError` where POSIX
-        shared memory is unavailable), ``"auto"`` (default) uses the
-        pool only when ``refine_workers > 1``, shared memory works and
-        the batch clears the ``min_refine_rows_per_worker`` amortization
-        floor -- otherwise serial.  All backends return
-        bitwise-identical results; a one-query batch (so every
-        ``search`` call) always runs serial.  Process workers never
-        charge pages (Fetch already paid for every candidate page), so
-        per-scope I/O accounting is unchanged.
-    refine_workers:
-        Worker processes in the refinement pool (lazily spawned on the
-        first process-backend batch, persistent across batches; see
-        :mod:`repro.exec.procpool`).  ``1`` (default) with
-        ``refine_backend="auto"`` keeps everything serial.  Each worker
-        pins its BLAS/OpenMP thread counts to 1 at startup
-        (``OMP_NUM_THREADS`` and friends), so NumPy's internal threading
-        cannot oversubscribe cores under the process fan-out: total
-        compute parallelism is ``refine_workers``, not
-        ``refine_workers x blas_threads``.  Results are bitwise
-        identical for any value.
-    min_refine_rows_per_worker:
-        Amortization floor for ``refine_backend="auto"``: the pool is
-        used only when the batch's work items (union rows for the dense
-        kernel, candidate pairs for the sparse kernel) reach
-        ``refine_workers`` times this.  Below it the per-dispatch cost
-        (slab allocation + task IPC, ~1ms) outweighs the parallel win
-        and auto stays serial.  Forced ``"process"`` ignores the floor.
-    refine_start_method:
-        Multiprocessing start method for pool workers: one of
-        ``"forkserver"``/``"spawn"``/``"fork"``, or ``None`` (default)
-        to resolve via the ``REPRO_REFINE_START_METHOD`` env var, then
-        ``forkserver`` falling back to ``spawn``.  ``fork`` is never
-        picked implicitly: workers spawn lazily from the (by then
-        multithreaded) serving process, and forking a multithreaded
-        parent can deadlock children on inherited malloc/BLAS/logging
-        locks.  Availability is validated when the pool is built, since
-        it is platform-dependent.
     simulated_io_iops:
         When set, the shard fan-out models each simulated disk as
         serving this many page reads per second (see
@@ -220,10 +169,6 @@ class BrePartitionConfig:
     shard_workers: int = 1
     refine_kernel: str = "auto"
     sparse_density_threshold: float = 0.3
-    refine_backend: str = "auto"
-    refine_workers: int = 1
-    min_refine_rows_per_worker: int = 1024
-    refine_start_method: Optional[str] = None
     simulated_io_iops: Optional[float] = None
     io_max_retries: int = 0
     io_backoff_ms: float = 1.0
@@ -263,24 +208,6 @@ class BrePartitionConfig:
         if not 0.0 <= self.sparse_density_threshold <= 1.0:
             raise InvalidParameterError(
                 "sparse_density_threshold must be in [0, 1]"
-            )
-        if self.refine_backend not in REFINE_BACKENDS:
-            raise InvalidParameterError(
-                f"refine_backend must be one of {REFINE_BACKENDS}, "
-                f"got {self.refine_backend!r}"
-            )
-        if self.refine_workers < 1:
-            raise InvalidParameterError("refine_workers must be >= 1")
-        if self.min_refine_rows_per_worker < 1:
-            raise InvalidParameterError(
-                "min_refine_rows_per_worker must be >= 1"
-            )
-        if self.refine_start_method is not None and (
-            self.refine_start_method not in REFINE_START_METHODS
-        ):
-            raise InvalidParameterError(
-                f"refine_start_method must be None or one of "
-                f"{REFINE_START_METHODS}, got {self.refine_start_method!r}"
             )
         if self.simulated_io_iops is not None and self.simulated_io_iops <= 0:
             raise InvalidParameterError(

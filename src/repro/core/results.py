@@ -84,10 +84,7 @@ class BatchQueryStats:
     wall-clock time (fetch + slab scoring); with ``shard_workers > 1``
     tasks overlap, so their sum can exceed ``cpu_seconds``.
     ``refine_kernel`` is the kernel the adaptive dispatcher actually
-    ran (``"dense"`` or ``"sparse"``), whatever the configured mode;
-    ``refine_backend`` / ``refine_workers`` likewise record the compute
-    backend the scoring actually ran on (``"serial"`` or ``"process"``
-    with the pool width) after ``auto`` resolution.
+    ran (``"dense"`` or ``"sparse"``), whatever the configured mode.
 
     ``stage_seconds`` breaks ``cpu_seconds`` down by pipeline stage
     (plan / fetch / refine / rerank), and ``cross_batch_hits`` counts
@@ -113,11 +110,6 @@ class BatchQueryStats:
     n_candidates: int = 0
     #: refinement kernel the dispatcher chose ("dense" or "sparse").
     refine_kernel: Optional[str] = None
-    #: compute backend the refinement ran on ("serial"/"process"; None
-    #: when the candidate union was empty).
-    refine_backend: Optional[str] = None
-    #: process-pool width the refinement used (1 = serial).
-    refine_workers: int = 1
     #: thread-pool width the fan-out ran with (1 = sequential).
     shard_workers: int = 1
     #: per-shard fetch-task seconds (charge + wait + peek; sharded only).

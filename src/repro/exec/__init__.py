@@ -46,23 +46,11 @@ Replication-aware routing (PR 8): on a store with
 per-disk circuit breakers (:class:`ShardHealthRegistry`), failover on
 permanent failure and optional hedged reads -- keeping results bitwise
 identical with any ``R - 1`` replicas of each shard dead.
-
-Process-level refinement (PR 9): threads overlap modeled I/O but the
-Refine stage's NumPy kernels stay GIL-serialised, so once a batch is
-compute-bound ``shard_workers`` buys nothing.
-:class:`RefinementProcessPool` (:mod:`repro.exec.procpool`) scores
-disjoint row-blocks / pair-ranges of the refinement problem in worker
-*processes* over shared-memory slabs -- same kernels, bitwise-identical
-scores for any worker count (:attr:`~repro.core.config
-.BrePartitionConfig.refine_workers` / ``refine_backend``).
 """
 
 from .executor import ShardExecutor, ShardHealthRegistry
-from .procpool import RefinementProcessPool, shared_memory_available
 
 __all__ = [
     "ShardExecutor",
     "ShardHealthRegistry",
-    "RefinementProcessPool",
-    "shared_memory_available",
 ]

@@ -1,23 +1,14 @@
 """Refine stage: expansion-kernel scoring of every (candidate, query) pair.
 
-Owns the adaptive dense/sparse/auto kernel dispatch, the
-serial/process/auto *backend* dispatch, and the conditioner-wrapped
-cross-divergence kernels.  The stage scores the union slab either
+Owns the adaptive dense/sparse/auto kernel dispatch and the
+conditioner-wrapped cross-divergence kernels.  The stage scores the union slab either
 through the dense blocked kernel (full ``(union, B)`` matrix in
 ``refinement_block_size`` row blocks) or the sparse grouped kernel
 (only real pairs, query-bucketed gathers).  Both produce
 bitwise-identical scores -- dense columns are independent of batch
 composition and blocking, sparse pair values equal the dense matrix
-entries bit for bit -- so both the kernel and the backend choice are
-purely performance decisions.
-
-On the ``process`` backend the same kernels run in
-:class:`~repro.exec.RefinementProcessPool` workers over shared-memory
-slabs: the stage conditions the union vectors and queries once (the
-conditioner is elementwise, so this is bitwise identical to per-block
-conditioning) and the workers score disjoint row-blocks / pair-ranges
-raw, folding the conditioner's output factor in exactly where the
-serial path does.
+entries bit for bit -- so the kernel choice is purely a performance
+decision.
 
 A note on the dense kernel's dead cells: the dense path scores the full
 ``(union, B)`` matrix even though only ``total_pairs`` cells are real.
@@ -83,30 +74,18 @@ class RefineStage(PipelineStage):
         vectors, queries = ctx.vectors, ctx.queries
         if kernel == "sparse":
             pair_rows, pair_queries, offsets = build_pairs(ctx.candidates, ctx.row_of)
-            backend, workers = self._backend_for(kernel, int(pair_rows.size), n_queries)
-            ctx.refine_backend, ctx.refine_workers = backend, workers
-            if backend == "process":
-                flat = self._pool_score_sparse(
-                    vectors, queries, pair_rows, pair_queries, offsets, conditioner
-                )
-            else:
-                flat = self.score_sparse(
-                    vectors, queries, pair_rows, pair_queries, conditioner=conditioner
-                )
+            flat = self.score_sparse(
+                vectors, queries, pair_rows, pair_queries, conditioner=conditioner
+            )
             ctx.scores_of = lambda q, rows: flat[offsets[q] : offsets[q + 1]]
         else:
             block = self.index.config.refinement_block_for(n_queries, vectors.shape[1])
-            backend, workers = self._backend_for(kernel, int(ctx.union.size), n_queries)
-            ctx.refine_backend, ctx.refine_workers = backend, workers
-            if backend == "process":
-                cross = self._pool_score_dense(vectors, queries, block, conditioner)
-            else:
-                cross = np.empty((ctx.union.size, n_queries), dtype=float)
-                for lo in range(0, ctx.union.size, block):
-                    hi = min(lo + block, ctx.union.size)
-                    cross[lo:hi] = self.score_dense(
-                        vectors[lo:hi], queries, conditioner=conditioner
-                    )
+            cross = np.empty((ctx.union.size, n_queries), dtype=float)
+            for lo in range(0, ctx.union.size, block):
+                hi = min(lo + block, ctx.union.size)
+                cross[lo:hi] = self.score_dense(
+                    vectors[lo:hi], queries, conditioner=conditioner
+                )
             ctx.scores_of = lambda q, rows: cross[rows, q]
 
     # ------------------------------------------------------------------
@@ -134,98 +113,6 @@ class RefineStage(PipelineStage):
         density = total_pairs / (union_size * n_queries)
         threshold = self.index.config.sparse_density_threshold
         return "sparse" if density < threshold else "dense"
-
-    # ------------------------------------------------------------------
-    # backend dispatch (serial vs process pool)
-    # ------------------------------------------------------------------
-
-    def choose_backend(self, kernel: str, work_items: int) -> Tuple[str, int]:
-        """Resolve the compute backend for a batch scoring of ``kernel``.
-
-        Returns ``(backend, workers)`` where ``backend`` is what will
-        actually run ("serial" / "process") and ``workers`` the pool
-        width it will use (1 for serial).  ``work_items`` is the natural
-        unit of the kernel's outer loop -- union rows for dense, total
-        pairs for sparse.
-
-        * ``serial`` always runs serially.
-        * ``process`` always dispatches to the pool -- even at width 1,
-          and constructing it raises
-          :class:`~repro.exceptions.RefinementPoolError` where shared
-          memory is unavailable -- an explicit request never silently
-          degrades.
-        * ``auto`` dispatches to the pool only when ``refine_workers > 1``,
-          shared memory works, and the batch clears the amortization
-          floor (``work_items >= refine_workers *
-          min_refine_rows_per_worker``); below it the ~1 ms dispatch
-          overhead would dominate.
-        """
-        config = self.index.config
-        if config.refine_backend == "serial":
-            return "serial", 1
-        if config.refine_backend == "process":
-            return "process", config.refine_workers
-        if config.refine_workers <= 1:
-            return "serial", 1
-        from ..exec.procpool import shared_memory_available
-
-        if not shared_memory_available():
-            return "serial", 1
-        floor = config.refine_workers * config.min_refine_rows_per_worker
-        if work_items < floor:
-            return "serial", 1
-        return "process", config.refine_workers
-
-    def _backend_for(self, kernel: str, work_items: int, n_queries: int):
-        """:meth:`choose_backend`, except that a one-query batch (what
-        ``search`` runs) always scores serially: one query's candidate
-        set never amortizes a process dispatch."""
-        if n_queries == 1:
-            return "serial", 1
-        return self.choose_backend(kernel, work_items)
-
-    def _pool_score_dense(
-        self, vectors: np.ndarray, queries: np.ndarray, block: int, conditioner=_UNSET
-    ) -> np.ndarray:
-        """Dense scoring through the index's refinement process pool.
-
-        Conditions once in the parent (elementwise, so bitwise equal to
-        the serial path's per-block conditioning) and ships the output
-        factor for the workers to fold in exactly where
-        :meth:`score_dense` does.
-        """
-        index = self.index
-        if conditioner is _UNSET:
-            conditioner = index._refine_conditioner
-        factor = 1.0
-        if conditioner is not None:
-            vectors = conditioner.transform(vectors)
-            queries = conditioner.transform(queries)
-            factor = conditioner.factor
-        return index.refine_pool().score_dense(vectors, queries, factor, block)
-
-    def _pool_score_sparse(
-        self,
-        vectors: np.ndarray,
-        queries: np.ndarray,
-        pair_rows: np.ndarray,
-        pair_queries: np.ndarray,
-        offsets: np.ndarray,
-        conditioner=_UNSET,
-    ) -> np.ndarray:
-        """Sparse scoring through the process pool; see :meth:`_pool_score_dense`."""
-        index = self.index
-        if conditioner is _UNSET:
-            conditioner = index._refine_conditioner
-        factor = 1.0
-        if conditioner is not None:
-            vectors = conditioner.transform(vectors)
-            queries = conditioner.transform(queries)
-            factor = conditioner.factor
-        pair_block = index.config.refinement_block_for(1, vectors.shape[1])
-        return index.refine_pool().score_sparse(
-            vectors, queries, pair_rows, pair_queries, offsets, factor, pair_block
-        )
 
     # ------------------------------------------------------------------
     # conditioner-wrapped kernels

@@ -146,8 +146,8 @@ class DataStore:
         """Read points from disk, charging one I/O per distinct page.
 
         Returns the vectors in the order of ``point_ids``.  ``scope``
-        is the query scope the charges dedup against (``None`` falls
-        back to the tracker's ambient scope).
+        is the query scope the charges dedup against (``None`` charges
+        every page).
         """
         ids = np.asarray(point_ids, dtype=int)
         if self.fault is not None:
@@ -266,8 +266,7 @@ class DataStore:
             # holds is served from cache), which is also what lets the
             # retry loop converge -- every attempt's surviving prefix
             # shrinks the remaining fault surface
-            already = scope if scope is not None else self.tracker._active
-            if already is None or not already.has_read(self.fileno, page):
+            if scope is None or not scope.has_read(self.fileno, page):
                 self.fault.before_page(self.shard_id)
         if self.buffer_pool is not None and self.buffer_pool.access(
             self.fileno, page, scope=scope

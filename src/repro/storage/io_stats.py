@@ -13,9 +13,7 @@ charge call accepts the scope it should dedup against.  Two queries (or
 two serving micro-batches) can therefore be in flight on the same
 tracker at once without corrupting each other's pages-per-query numbers
 -- the property the concurrent serving layer (:mod:`repro.serve`) rests
-on.  The legacy ``start_query()`` / ``end_query()`` pair survives as a
-thin wrapper that installs one ambient scope (single-threaded baselines
-use it); lifetime totals stay lock-protected and exact either way.
+on.  Lifetime totals stay lock-protected and exact.
 
 An optional :class:`IOCostModel` converts page counts into estimated
 seconds using a configurable IOPS figure, mirroring the paper's
@@ -176,14 +174,8 @@ class DiskAccessTracker:
     Scoped usage (safe under concurrent in-flight queries)::
 
         with tracker.scope() as scope:
-            tracker.read_page(fileno, page, scope=scope)
+            tracker.read_page(fileno, page, scope=scope)  # once per page
         snapshot = scope.snapshot()
-
-    Legacy ambient usage (single-threaded callers only)::
-
-        tracker.start_query()
-        tracker.read_page(fileno, page)   # charged once per (fileno, page)
-        snapshot = tracker.end_query()
 
     Lifetime totals (``total_pages_read`` / ``total_pages_written`` /
     ``queries``) are serialised by the tracker's lock, so concurrent
@@ -195,9 +187,6 @@ class DiskAccessTracker:
         self.total_pages_read = 0
         self.total_pages_written = 0
         self.queries = 0
-        #: the ambient scope installed by :meth:`start_query` (legacy
-        #: single-threaded API); explicit scopes take precedence.
-        self._active: Optional[QueryScope] = None
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -217,21 +206,6 @@ class DiskAccessTracker:
         snapshot."""
         return scope.finish()
 
-    def start_query(self) -> None:
-        """Begin an ambient query scope; reads dedupe until :meth:`end_query`.
-
-        Legacy API for single-threaded callers (baselines, VA-file); the
-        concurrent engine threads explicit :meth:`scope` objects instead.
-        """
-        self._active = self.scope()
-
-    def end_query(self) -> QueryIOSnapshot:
-        """Close the ambient query scope and return its I/O snapshot."""
-        scope, self._active = self._active, None
-        if scope is None:
-            return QueryIOSnapshot(pages_read=0, pages_written=0)
-        return scope.finish()
-
     def _count_query(self) -> None:
         with self._lock:
             self.queries += 1
@@ -245,15 +219,13 @@ class DiskAccessTracker:
     ) -> bool:
         """Charge a page read; returns ``True`` when actually charged.
 
-        Within a scope (explicit ``scope`` argument, or the ambient one
-        installed by :meth:`start_query`), re-reads of the same
-        ``(fileno, page)`` are free.  Outside any scope every call is
+        Within ``scope``, re-reads of the same ``(fileno, page)`` are
+        free.  Outside any scope every call is
         charged.  The dedup decision runs under the scope's lock and the
         lifetime total under the tracker's, so concurrent shard workers
         charging disjoint pages never lose an increment and the dedup
         stays exact.
         """
-        scope = scope if scope is not None else self._active
         if scope is not None and not scope.admit_read(fileno, page):
             return False
         with self._lock:
@@ -270,7 +242,6 @@ class DiskAccessTracker:
         self, fileno: int, page: int, scope: Optional[QueryScope] = None
     ) -> None:
         """Charge a page write (used by index construction)."""
-        scope = scope if scope is not None else self._active
         if scope is not None:
             scope.admit_write()
         with self._lock:
@@ -300,7 +271,6 @@ class DiskAccessTracker:
             self.total_pages_read = 0
             self.total_pages_written = 0
             self.queries = 0
-        self._active = None
 
 
 @dataclass(frozen=True)

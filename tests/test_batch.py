@@ -485,11 +485,10 @@ class TestDataStoreBatchFetch:
         tracker = DiskAccessTracker()
         store = DataStore(points, page_size_bytes=4 * 6 * 8, tracker=tracker)
         ids = np.arange(8)  # both groups share the same two pages
-        tracker.start_query()
-        charged = store.charge_pages_for([ids, ids.copy()])
-        snapshot = tracker.end_query()
+        with tracker.scope() as scope:
+            charged = store.charge_pages_for([ids, ids.copy()], scope=scope)
         assert charged == store.count_pages_of(ids)
-        assert snapshot.pages_read == store.count_pages_of(ids)
+        assert scope.snapshot().pages_read == store.count_pages_of(ids)
 
     def test_count_pages_of(self):
         points = np.zeros((10, 4))

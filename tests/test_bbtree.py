@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -118,10 +120,10 @@ class TestKnn:
             page_size_bytes=256,
             tracker=tracker,
         )
-        tracker.start_query()
-        ids, dists, _ = tree.knn(points[0], k=5, fetcher=store.fetch)
-        snap = tracker.end_query()
-        assert snap.pages_read > 0
+        with tracker.scope() as scope:
+            fetch = functools.partial(store.fetch, scope=scope)
+            ids, dists, _ = tree.knn(points[0], k=5, fetcher=fetch)
+        assert scope.snapshot().pages_read > 0
         true_ids, _ = brute_force_knn(div, points, points[0], 5)
         assert set(ids.tolist()) == set(true_ids.tolist())
 

@@ -392,7 +392,8 @@ class TestAlgorithm4:
 
 def test_exact_engine_imports_and_searches_without_scipy():
     """Only ABP's normal fit needs scipy; the exact engine, the package
-    root and the invariant linter must import and run with it blocked."""
+    root and the invariant linter must import and run with it blocked.
+    Nothing on that path loads ``multiprocessing`` either."""
     import os
     import subprocess
     import sys
@@ -421,6 +422,8 @@ def test_exact_engine_imports_and_searches_without_scipy():
         assert [r.ids[0] for r in batch] == [0, 1, 2], batch.ids
         assert index.search(points[5], 4).ids[0] == 5
         assert "scipy.stats" not in sys.modules
+        loaded = [m for m in sys.modules if m.split(".")[0] == "multiprocessing"]
+        assert not loaded, loaded
         print("ok")
         """
     )

@@ -95,55 +95,34 @@ class TestShardExecutor:
 
 class TestParallelParityMatrix:
     """Acceptance: bitwise single/batch parity for every divergence under
-    all of {serial, process} backend x {1, 4} workers x {dense, sparse,
-    auto} kernels -- with per-scope page accounting bitwise equal in
-    every cell (process workers read shared memory; Fetch already paid,
-    so they never charge pages)."""
+    all of {1, 4} workers x {dense, sparse, auto} kernels -- with
+    per-scope page accounting bitwise equal in every cell."""
 
     @pytest.mark.parametrize("name,divergence", all_decomposable_divergences(DIM))
-    def test_backends_kernels_and_workers_bitwise_identical(self, name, divergence):
-        from repro.exec import shared_memory_available
-
+    def test_kernels_and_workers_bitwise_identical(self, name, divergence):
         points = points_for(divergence, N_POINTS, DIM, seed=1)
         queries = points_for(divergence, N_QUERIES, DIM, seed=2)
         index = sharded_index(divergence, points)
         reference = [index.search(query, K) for query in queries]
         reference_pages = None
-        backends = ["serial"]
-        if shared_memory_available():
-            backends.append("process")
-        try:
-            for backend in backends:
-                for workers in (1, 4):
-                    for kernel in ("dense", "sparse", "auto"):
-                        index.config.refine_kernel = kernel
-                        index.config.shard_workers = workers
-                        index.config.refine_backend = backend
-                        index.config.refine_workers = workers
-                        index.config.min_refine_rows_per_worker = 1
-                        batch = index.search_batch(queries, K)
-                        assert batch.stats.shard_workers == workers
-                        assert batch.stats.refine_kernel in ("dense", "sparse")
-                        if kernel != "auto":
-                            assert batch.stats.refine_kernel == kernel
-                        if backend == "process":
-                            assert batch.stats.refine_backend == "process"
-                            assert batch.stats.refine_workers == workers
-                        else:
-                            assert batch.stats.refine_backend == "serial"
-                            assert batch.stats.refine_workers == 1
-                        # exact page accounting: every cell charges the
-                        # same pages (process workers never charge)
-                        if reference_pages is None:
-                            reference_pages = batch.stats.pages_read
-                        assert batch.stats.pages_read == reference_pages
-                        for single, batched in zip(reference, batch):
-                            np.testing.assert_array_equal(single.ids, batched.ids)
-                            np.testing.assert_array_equal(
-                                single.divergences, batched.divergences
-                            )
-        finally:
-            index.close()
+        for workers in (1, 4):
+            for kernel in ("dense", "sparse", "auto"):
+                index.config.refine_kernel = kernel
+                index.config.shard_workers = workers
+                batch = index.search_batch(queries, K)
+                assert batch.stats.shard_workers == workers
+                assert batch.stats.refine_kernel in ("dense", "sparse")
+                if kernel != "auto":
+                    assert batch.stats.refine_kernel == kernel
+                # exact page accounting: every cell charges the same pages
+                if reference_pages is None:
+                    reference_pages = batch.stats.pages_read
+                assert batch.stats.pages_read == reference_pages
+                for single, batched in zip(reference, batch):
+                    np.testing.assert_array_equal(single.ids, batched.ids)
+                    np.testing.assert_array_equal(
+                        single.divergences, batched.divergences
+                    )
 
     def test_sparse_kernel_on_single_disk_store(self):
         divergence = SquaredEuclidean()
@@ -358,18 +337,6 @@ class TestConfigValidation:
         with pytest.raises(InvalidParameterError, match="simulated_io_iops"):
             BrePartitionConfig(simulated_io_iops=0.0)
 
-    def test_rejects_bad_refine_backend(self):
-        with pytest.raises(InvalidParameterError, match="refine_backend"):
-            BrePartitionConfig(refine_backend="threads")
-
-    def test_rejects_bad_refine_workers(self):
-        with pytest.raises(InvalidParameterError, match="refine_workers"):
-            BrePartitionConfig(refine_workers=0)
-
-    def test_rejects_bad_refine_floor(self):
-        with pytest.raises(InvalidParameterError, match="min_refine_rows_per_worker"):
-            BrePartitionConfig(min_refine_rows_per_worker=0)
-
 
 class TestHarnessPlumbing:
     def test_run_workload_threads_workers_and_kernel(self):
@@ -398,37 +365,6 @@ class TestHarnessPlumbing:
         assert result.extras["shard_workers"] == 4
         assert result.mean_recall == 1.0
 
-    def test_run_workload_threads_refine_backend(self):
-        from repro.datasets import load_dataset
-        from repro.eval.harness import run_workload
-        from repro.exec import shared_memory_available
-
-        if not shared_memory_available():
-            pytest.skip("no POSIX shared memory on this platform")
-        dataset = load_dataset("uniform", n=300, n_queries=8, seed=0)
-        index = BrePartitionIndex(
-            dataset.divergence,
-            BrePartitionConfig(
-                n_partitions=3, seed=0, page_size_bytes=dataset.page_size_bytes
-            ),
-        ).build(dataset.points)
-        try:
-            result = run_workload(
-                index,
-                dataset,
-                k=K,
-                batch_size=4,
-                refine_backend="process",
-                refine_workers=2,
-            )
-            assert index.config.refine_backend == "process"
-            assert index.config.refine_workers == 2
-            assert result.extras["refine_backend"] == "process"
-            assert result.extras["refine_workers"] == 2
-            assert result.mean_recall == 1.0
-        finally:
-            index.close()
-
     def test_run_workload_rejects_bad_kernel(self):
         from repro.datasets import load_dataset
         from repro.eval.harness import run_workload
@@ -441,7 +377,3 @@ class TestHarnessPlumbing:
             run_workload(index, dataset, k=2, refine_kernel="fast")
         with pytest.raises(InvalidParameterError, match="shard_workers"):
             run_workload(index, dataset, k=2, shard_workers=0)
-        with pytest.raises(InvalidParameterError, match="refine_backend"):
-            run_workload(index, dataset, k=2, refine_backend="threads")
-        with pytest.raises(InvalidParameterError, match="refine_workers"):
-            run_workload(index, dataset, k=2, refine_workers=0)

@@ -82,14 +82,12 @@ class TestFaultInjector:
     def _outcome_trace(self, store, n_calls=30):
         trace = []
         for _ in range(n_calls):
-            store.tracker.start_query()
-            try:
-                store.fetch(np.arange(store.n_points))
-                trace.append("ok")
-            except TransientIOError:
-                trace.append("fault")
-            finally:
-                store.tracker.end_query()
+            with store.tracker.scope() as scope:
+                try:
+                    store.fetch(np.arange(store.n_points), scope=scope)
+                    trace.append("ok")
+                except TransientIOError:
+                    trace.append("fault")
         return trace
 
     def test_same_seed_same_faults(self):
@@ -159,17 +157,14 @@ class TestFaultInjector:
         monotone progress (the attempt's surviving prefix shrinks the
         fault surface)."""
         store, injector = self._faulty_store(seed=5, probability=0.0)
-        store.tracker.start_query()
-        try:
-            store.fetch([0, 1, 2, 3])  # charge these pages fault-free
+        with store.tracker.scope() as scope:
+            store.fetch([0, 1, 2, 3], scope=scope)  # charge these fault-free
             injector.set_plan(probability=1.0)
-            store.fetch([0, 1, 2, 3])  # same pages, same scope: cached
+            store.fetch([0, 1, 2, 3], scope=scope)  # same scope: cached
             assert injector.n_injected == 0
-            with pytest.raises(TransientIOError):
-                store.fetch(np.arange(store.n_points))  # new pages fault
+            with pytest.raises(TransientIOError):  # new pages fault
+                store.fetch(np.arange(store.n_points), scope=scope)
             assert injector.n_injected == 1
-        finally:
-            store.tracker.end_query()
 
 
 # ----------------------------------------------------------------------

@@ -66,8 +66,6 @@ class TestPipelineOracleParity:
     @pytest.mark.parametrize("route", PLAN_ROUTES)
     @pytest.mark.parametrize("name,divergence", all_decomposable_divergences(DIM))
     def test_batch_matches_brute_force_bitwise(self, name, divergence, route):
-        from repro.exec import shared_memory_available
-
         points = points_for(divergence, N_POINTS, DIM, seed=1)
         queries = points_for(divergence, N_QUERIES, DIM, seed=2)
         index = build_index(
@@ -78,27 +76,13 @@ class TestPipelineOracleParity:
             plan_route=route,
         )
         index.config.shard_workers = 4
-        backends = ["serial"]
-        if shared_memory_available():
-            backends.append("process")
-        try:
-            for backend in backends:
-                index.config.refine_backend = backend
-                index.config.refine_workers = 4 if backend == "process" else 1
-                index.config.min_refine_rows_per_worker = 1
-                for kernel in ("dense", "sparse", "auto"):
-                    index.config.refine_kernel = kernel
-                    batch = index.search_batch(queries, K)
-                    for query, result in zip(queries, batch):
-                        oracle_ids, oracle_divs = brute_force_knn(
-                            divergence, points, query, K
-                        )
-                        np.testing.assert_array_equal(result.ids, oracle_ids)
-                        np.testing.assert_array_equal(
-                            result.divergences, oracle_divs
-                        )
-        finally:
-            index.close()
+        for kernel in ("dense", "sparse", "auto"):
+            index.config.refine_kernel = kernel
+            batch = index.search_batch(queries, K)
+            for query, result in zip(queries, batch):
+                oracle_ids, oracle_divs = brute_force_knn(divergence, points, query, K)
+                np.testing.assert_array_equal(result.ids, oracle_ids)
+                np.testing.assert_array_equal(result.divergences, oracle_divs)
 
     @pytest.mark.parametrize("route", PLAN_ROUTES)
     @pytest.mark.parametrize("name,divergence", all_decomposable_divergences(DIM))

@@ -20,13 +20,12 @@ from repro.storage import (
 class TestDiskAccessTracker:
     def test_dedupe_within_query(self):
         tracker = DiskAccessTracker()
-        tracker.start_query()
-        assert tracker.read_page(1, 0)
-        assert not tracker.read_page(1, 0)  # same page, free
-        assert tracker.read_page(1, 1)
-        assert tracker.read_page(2, 0)  # other file, charged
-        snap = tracker.end_query()
-        assert snap.pages_read == 3
+        with tracker.scope() as scope:
+            assert tracker.read_page(1, 0, scope=scope)
+            assert not tracker.read_page(1, 0, scope=scope)  # same page, free
+            assert tracker.read_page(1, 1, scope=scope)
+            assert tracker.read_page(2, 0, scope=scope)  # other file, charged
+        assert scope.snapshot().pages_read == 3
         assert tracker.total_pages_read == 3
 
     def test_no_dedupe_outside_query(self):
@@ -37,21 +36,19 @@ class TestDiskAccessTracker:
 
     def test_query_counters_reset_between_queries(self):
         tracker = DiskAccessTracker()
-        tracker.start_query()
-        tracker.read_page(1, 0)
-        first = tracker.end_query()
-        tracker.start_query()
-        tracker.read_page(1, 0)
-        second = tracker.end_query()
-        assert first.pages_read == 1
-        assert second.pages_read == 1
+        with tracker.scope() as first:
+            tracker.read_page(1, 0, scope=first)
+        with tracker.scope() as second:
+            tracker.read_page(1, 0, scope=second)
+        assert first.snapshot().pages_read == 1
+        assert second.snapshot().pages_read == 1
         assert tracker.queries == 2
         assert tracker.mean_pages_per_query == 1.0
 
     def test_read_pages_bulk(self):
         tracker = DiskAccessTracker()
-        tracker.start_query()
-        charged = tracker.read_pages(1, [0, 1, 1, 2])
+        with tracker.scope() as scope:
+            charged = tracker.read_pages(1, [0, 1, 1, 2], scope=scope)
         assert charged == 3
 
     def test_write_counting(self):
@@ -102,16 +99,6 @@ class TestQueryScope:
             tracker.write_page(1, 0, scope=scope)
         assert tracker.queries == 1
         assert scope.snapshot().pages_written == 1
-
-    def test_explicit_scope_ignores_ambient_one(self):
-        tracker = DiskAccessTracker()
-        tracker.start_query()
-        tracker.read_page(1, 0)
-        scope = tracker.scope()
-        # a fresh explicit scope has not seen the page: charged again
-        assert tracker.read_page(1, 0, scope=scope)
-        assert tracker.end_query().pages_read == 1
-        assert scope.snapshot().pages_read == 1
 
     def test_concurrent_scopes_stay_exact(self):
         # 8 threads, each its own scope over the same 50 pages: per-scope
@@ -257,10 +244,9 @@ class TestDataStore:
         tracker = DiskAccessTracker()
         points = self._points()
         store = DataStore(points, page_size_bytes=256, tracker=tracker)
-        tracker.start_query()
-        store.fetch([0, 1, 2, 3])  # all on page 0
-        snap = tracker.end_query()
-        assert snap.pages_read == 1
+        with tracker.scope() as scope:
+            store.fetch([0, 1, 2, 3], scope=scope)  # all on page 0
+        assert scope.snapshot().pages_read == 1
 
     def test_layout_groups_pages(self):
         """Points adjacent in layout order share pages."""
@@ -269,19 +255,18 @@ class TestDataStore:
         order = np.arange(40)[::-1]
         store = DataStore(points, layout_order=order, page_size_bytes=256, tracker=tracker)
         # ids 39, 38, 37, 36 are physically first -> one page.
-        tracker.start_query()
-        store.fetch([39, 38, 37, 36])
-        assert tracker.end_query().pages_read == 1
+        with tracker.scope() as scope:
+            store.fetch([39, 38, 37, 36], scope=scope)
+        assert scope.snapshot().pages_read == 1
 
     def test_scan_charges_all_pages_and_returns_logical_order(self):
         tracker = DiskAccessTracker()
         points = self._points()
         order = np.random.default_rng(2).permutation(40)
         store = DataStore(points, layout_order=order, page_size_bytes=256, tracker=tracker)
-        tracker.start_query()
-        got = store.scan()
-        snap = tracker.end_query()
-        assert snap.pages_read == store.n_pages
+        with tracker.scope() as scope:
+            got = store.scan(scope=scope)
+        assert scope.snapshot().pages_read == store.n_pages
         np.testing.assert_array_equal(got, points)
 
     def test_peek_charges_nothing(self):
