@@ -10,11 +10,11 @@ Two claims recorded in ``BENCH_parallel.json``:
    (:class:`~repro.storage.io_stats.IOCostModel`; 400 IOPS/disk ~ cloud
    block storage / fast HDD random reads, paid as a GIL-releasing sleep
    inside each fan-out task).  Sequential fan-out waits the shards out
-   one after another; parallel workers overlap the waits and each
-   shard's slab scoring, like real independent spindles.  A zero-latency
-   row is recorded too for transparency: on a single-core host it shows
-   ~1x, because without I/O waits to overlap the arithmetic is
-   GIL-serialised.
+   one after another; parallel workers overlap the waits, like real
+   independent spindles.  A zero-latency row is recorded too for
+   transparency: it shows ~1x, because without I/O waits the fan-out
+   tasks only charge pages and copy rows -- the scoring runs later, in
+   the Refine stage.
 
 2. **Sparse refinement**: at B=256 on a *skewed-candidate* workload
    (per-query candidate sets Pareto-distributed: most tiny, a few huge
@@ -28,9 +28,10 @@ Two claims recorded in ``BENCH_parallel.json``:
 
 Running the file directly rewrites ``BENCH_parallel.json`` at the repo
 root.  ``--smoke`` runs a seconds-scale end-to-end pass over the whole
-{dense, sparse, auto} x {1, 4} shard-workers matrix with parity and
-accounting assertions but no timing claims -- what CI exercises on
-every push.
+{dense, sparse, auto} x {1, 4} shard-workers matrix, then forces the
+dense Refine kernel's row-slice fan-out to 2 threads on a multi-block
+batch, with parity and accounting assertions but no timing claims --
+what CI exercises on every push.
 Under pytest, parity checks run by default and the timing assertions
 are ``slow``-marked.
 """
@@ -38,7 +39,6 @@ are ``slow``-marked.
 from __future__ import annotations
 
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -46,8 +46,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import repro.pipeline.refine as refine_module
 from repro import BrePartitionConfig, BrePartitionIndex
 from repro.datasets import load_dataset
+from repro.exec import ShardExecutor
 from repro.storage import DiskAccessTracker
 
 DATASET = "fonts"
@@ -66,6 +68,11 @@ FANOUT_PAGE_BYTES = 16384
 FANOUT_LEAF_CAPACITY = 40
 FANOUT_PARTITIONS = 4
 TARGET_FANOUT_SPEEDUP = 2.0
+
+# refine-width smoke: a block that splits the smoke's union into many
+# uneven blocks, scored on this many forced threads
+SMOKE_REFINE_BLOCK = 37
+SMOKE_REFINE_WIDTH = 2
 
 # sparse arm: B=256, Pareto-skewed candidate sets (mean ~32 of a
 # ~1744-row union, heavy tail up to the full file).
@@ -133,14 +140,6 @@ def measure_fanout(dataset, index, workers_list=FANOUT_WORKERS):
     for row in rows:
         row["speedup_vs_sequential"] = base / row["seconds"]
     return rows
-
-
-def host_cpus() -> int:
-    """CPUs this process may actually run on (honesty annotation)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
 
 
 # ----------------------------------------------------------------------
@@ -268,14 +267,35 @@ def test_sparse_beats_dense_at_256():
 # ----------------------------------------------------------------------
 
 
+def search_at_refine_width(index, queries, width: int):
+    """``search_batch`` with Refine's usable-CPU count forced to
+    ``width``; returns the batch and the widths of the executors the
+    dense kernel ran its row slices on."""
+    widths = []
+
+    class RecordingExecutor(ShardExecutor):
+        def run(self, tasks):
+            widths.append(self.n_workers)
+            return super().run(tasks)
+
+    saved = refine_module._usable_cpus, refine_module.ShardExecutor
+    refine_module._usable_cpus = lambda: width
+    refine_module.ShardExecutor = RecordingExecutor
+    try:
+        return index.search_batch(queries, K), widths
+    finally:
+        refine_module._usable_cpus, refine_module.ShardExecutor = saved
+
+
 def smoke() -> None:
     """Seconds-scale CI pass: the full kernel x worker matrix, no timing.
 
     Exercises the parallel path end to end -- fan-out charging on worker
     threads, both refinement kernels, the auto dispatcher, modeled I/O
-    latency -- and asserts bitwise parity with per-query search plus
-    exact per-shard accounting.  No wall-clock assertions, so it cannot
-    flake on loaded CI runners.
+    latency, and the dense kernel's row slices on forced threads -- and
+    asserts bitwise parity with per-query search plus exact per-shard
+    accounting.  No wall-clock assertions, so it cannot flake on loaded
+    CI runners.
     """
     dataset = load_dataset(DATASET, n=400, n_queries=16, seed=0)
     queries = dataset.queries
@@ -308,10 +328,29 @@ def smoke() -> None:
                 )
             combos += 1
     assert sum(index.datastore.shard_pages_read) == tracker.total_pages_read
+
+    # refine-width axis: the dense kernel's row slices on 2 threads
+    index.config.refine_kernel = "dense"
+    index.config.shard_workers = 1
+    index.config.refinement_block_size = SMOKE_REFINE_BLOCK
+    serial, serial_widths = search_at_refine_width(index, queries, 1)
+    sliced, sliced_widths = search_at_refine_width(
+        index, queries, SMOKE_REFINE_WIDTH
+    )
+    assert serial_widths == [1]
+    assert sliced_widths == [SMOKE_REFINE_WIDTH], sliced_widths
+    assert sliced.stats.pages_read == serial.stats.pages_read
+    for single, a, b in zip(reference, serial, sliced):
+        np.testing.assert_array_equal(a.ids, b.ids)
+        np.testing.assert_array_equal(a.divergences, b.divergences)
+        np.testing.assert_array_equal(single.ids, b.ids)
+        np.testing.assert_array_equal(single.divergences, b.divergences)
     print(
         f"smoke OK: {combos} kernel/worker combos bitwise-identical to "
         f"per-query search, shard accounting exact "
-        f"({tracker.total_pages_read} pages across {N_SHARDS} shards)"
+        f"({tracker.total_pages_read} pages across {N_SHARDS} shards); "
+        f"dense Refine on {SMOKE_REFINE_WIDTH} forced row-slice threads "
+        f"(block {SMOKE_REFINE_BLOCK}) bitwise-identical to 1"
     )
 
 
@@ -332,11 +371,11 @@ def main() -> None:
 
     nolat_dataset, nolat_index = make_fanout_index(iops=None)
     nolat_rows = measure_fanout(nolat_dataset, nolat_index, workers_list=(1, 4))
-    cpus = host_cpus()
+    cpus = refine_module._usable_cpus()  # honesty annotation
     print(
         f"  (zero-latency control: workers=4 speedup "
         f"{nolat_rows[-1]['speedup_vs_sequential']:.2f}x on {cpus} CPU(s) -- "
-        f"GIL-bound arithmetic, the win comes from overlapping I/O waits)"
+        f"the win comes from overlapping I/O waits)"
     )
 
     sparse_dataset, sparse_index = make_sparse_index()

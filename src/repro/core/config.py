@@ -73,8 +73,10 @@ class BrePartitionConfig:
         (candidate, query) pairs through the grouped kernel, ``"auto"``
         (default) picks sparse when the mean per-query candidate density
         over the union falls below ``sparse_density_threshold``.  All
-        three return bitwise-identical results.  Scoring runs serially
-        in the thread that runs the batch.
+        three return bitwise-identical results.  The dense kernel
+        scores a multi-block union's row slices on up to one thread per
+        usable CPU; the sparse kernel runs in the thread that runs the
+        batch.
     sparse_density_threshold:
         ``auto`` routes to the sparse kernel when
         ``mean(|candidates_q|) / |union|`` is below this.  The sparse
@@ -271,6 +273,11 @@ class BrePartitionConfig:
         output slab; the auto block keeps the larger of the two around
         2^20 float64 elements (~8MB) so blocks stay cache-friendly
         without paying per-block dispatch for tiny slices.
+
+        The block also decides whether the dense Refine kernel fans
+        out: a union that fits one block is scored inline, and a larger
+        one is cut into at most one row slice per block (and per usable
+        CPU), each scored on its own thread.
         """
         if self.refinement_block_size is not None:
             return self.refinement_block_size

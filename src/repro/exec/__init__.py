@@ -28,12 +28,17 @@ pipeline's Fetch stage (:class:`repro.pipeline.FetchStage`):
    one union slab.
 
 The win is the overlap of step 2 across shards: parallel workers wait
-out all modeled disk latencies together instead of one after another
-(the GIL serialises the NumPy arithmetic either way, so stage-level
-scoring costs the same as the PR-3 engine's score-inside-task layout
-while keeping fetch and refine separately timed).  With one worker the
-executor degrades to an inline loop: the *sequential fan-out* baseline
-that ``benchmarks/bench_parallel_fanout.py`` measures against.
+out all modeled disk latencies together instead of one after another.
+With one worker the executor degrades to an inline loop: the
+*sequential fan-out* baseline that ``benchmarks/bench_parallel_fanout.py``
+measures against.
+
+The Refine stage reuses the executor for compute: NumPy's ``einsum``
+contraction, the dense kernel's main cost, releases the GIL, so Refine
+scores contiguous row slices of a multi-block union on up to one
+thread per usable CPU (see :mod:`repro.pipeline.refine`).  On a 2-vCPU
+host the full 7950 x 400 x 64 fonts-batch contraction takes 79-81 ms on
+one thread and 48-53 ms split over two, with bitwise-equal output.
 
 Determinism: tasks write to disjoint output slices and every kernel is
 row/pair-bitwise independent, so results are bit-for-bit identical for

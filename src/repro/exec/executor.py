@@ -12,11 +12,12 @@ Replication-aware routing lives here too.  A
 :class:`ShardHealthRegistry` (owned by the index, shared across the
 short-lived per-call executors) keeps one circuit breaker per simulated
 disk: ``failure_threshold`` consecutive permanent failures open the
-breaker, an open breaker is skipped outright (fail-fast, no retries
-against a disk known dead), and after ``reset_seconds`` it reports
+breaker, an open breaker is skipped while another replica can serve
+(fail-fast, no retries against a disk known dead), and after
+``reset_seconds`` it reports
 ``half_open`` -- the next attempt is the probe that either closes it or
 re-opens it.  :meth:`ShardExecutor.call_with_failover` walks a shard's
-replicas in health order (closed breakers first, open ones skipped),
+replicas in health order (closed breakers first, open ones last),
 retries transients within a replica, fails over between replicas, and
 optionally *hedges*: when a replica's fetch has not returned within
 ``hedge_after_seconds`` it races the next live replica and takes
@@ -82,11 +83,16 @@ class ShardHealthRegistry:
     :attr:`n_breaker_opens`.
 
     All methods are thread-safe; a disk never attempted reports
-    ``closed`` with zero counters.
+    ``closed`` with zero counters.  ``clock`` (default
+    :func:`time.monotonic`) times the open period; a test can pass a
+    hand-driven clock to hold a breaker open without sleeping.
     """
 
     def __init__(
-        self, failure_threshold: int = 5, reset_seconds: float = 1.0
+        self,
+        failure_threshold: int = 5,
+        reset_seconds: float = 1.0,
+        clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if failure_threshold < 1:
             raise InvalidParameterError(
@@ -98,6 +104,7 @@ class ShardHealthRegistry:
             )
         self.failure_threshold = int(failure_threshold)
         self.reset_seconds = float(reset_seconds)
+        self._clock = clock
         self._lock = threading.Lock()
         self._disks: Dict[int, _DiskHealth] = {}
         #: lifetime transitions into ``open``, all disks.
@@ -109,7 +116,7 @@ class ShardHealthRegistry:
     def _state_locked(self, entry: _DiskHealth) -> str:
         if not entry.is_open:
             return BREAKER_CLOSED
-        if time.monotonic() - entry.opened_at >= self.reset_seconds:
+        if self._clock() - entry.opened_at >= self.reset_seconds:
             return BREAKER_HALF_OPEN
         return BREAKER_OPEN
 
@@ -147,7 +154,7 @@ class ShardHealthRegistry:
             )
             if reopen_probe or trip:
                 entry.is_open = True
-                entry.opened_at = time.monotonic()
+                entry.opened_at = self._clock()
                 entry.n_breaker_opens += 1
                 self.n_breaker_opens += 1
 
@@ -292,8 +299,8 @@ class ShardExecutor:
         ``replicas`` is the placement-ordered ``(disk, fn)`` list of a
         shard's replicas, each ``fn`` performing the *same* logical
         fetch against its own copy.  Routing is health-aware: disks
-        whose breaker is open are skipped outright (each skip counts as
-        a failover), closed disks are preferred over half-open probes,
+        whose breaker is open are skipped (each skip counts as a
+        failover), closed disks are preferred over half-open probes,
         and within a class placement order is kept -- so a fault-free
         store always serves from the primary and stays bitwise identical
         to the unreplicated path.  Within a replica, transient faults
@@ -310,42 +317,46 @@ class ShardExecutor:
         races that replica (``on_hedge`` fires once per hedge) and the
         first result wins -- the slow leg keeps running harmlessly: its
         charges dedup in the same scope and its bytes equal the
-        winner's.  Raises the last replica's error when every replica
-        fails; with every breaker open the placement order is probed
-        anyway (fail-fast is only worth it when an alternative exists).
+        winner's.  The breaker's job is to fail fast *onto an
+        alternative*: once every admitted replica has failed (or none
+        was admitted), the skipped open-breaker replicas are probed in
+        placement order before giving up -- a replica healed but still
+        inside its ``reset_seconds`` can serve, and a single-replica
+        store recovers as soon as it is repaired.  Hedges race only
+        replicas of the same class.  Raises the last replica's error
+        when every replica fails.
         """
         if not replicas:
             raise InvalidParameterError(
                 "call_with_failover needs at least one replica"
             )
         health = self.health
-        closed: List[Tuple[int, Callable[[], Any]]] = []
-        probes: List[Tuple[int, Callable[[], Any]]] = []
-        skipped = 0
+        tiers: Dict[str, List[Tuple[int, Callable[[], Any]]]] = {
+            BREAKER_CLOSED: [],
+            BREAKER_HALF_OPEN: [],
+            BREAKER_OPEN: [],
+        }
         for disk, fn in replicas:
             state = health.state(disk) if health is not None else BREAKER_CLOSED
-            if state == BREAKER_OPEN:
-                skipped += 1
-                continue
-            (closed if state == BREAKER_CLOSED else probes).append((disk, fn))
-        candidates = closed + probes
-        if not candidates:
-            # nowhere left to route: probe the placement order anyway.
-            # The breaker's job is to fail fast *onto an alternative*;
-            # with every breaker open the probe is the only way back
-            # (and keeps single-replica stores recovering instantly
-            # after a repair, exactly like the pre-breaker behaviour).
-            candidates = list(replicas)
-            skipped = 0
-        if on_failover is not None:
-            for _ in range(skipped):
+            tiers[state].append((disk, fn))
+        admitted = tiers[BREAKER_CLOSED] + tiers[BREAKER_HALF_OPEN]
+        opened = tiers[BREAKER_OPEN]
+        if admitted and on_failover is not None:
+            for _ in opened:
                 on_failover()
+        # open breakers go last, so they are tried only when nothing
+        # admitted is left; a hedge never races across that boundary
+        candidates = admitted + opened
         last_error: Optional[ShardUnavailableError] = None
         for i, (disk, fn) in enumerate(candidates):
             if i > 0 and on_failover is not None:
                 on_failover()
             hedge_with = None
-            if self.hedge_after_seconds is not None and i + 1 < len(candidates):
+            if (
+                self.hedge_after_seconds is not None
+                and i + 1 < len(candidates)
+                and i + 1 != len(admitted)
+            ):
                 hedge_with = candidates[i + 1]
             try:
                 if hedge_with is not None:

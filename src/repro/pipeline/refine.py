@@ -20,14 +20,32 @@ Measured at mid density (~0.5, ``BENCH_refinement.json``'s
 ``mid_density`` entry) the sparse kernel's gather traffic loses to
 the dense kernel's sequential sweep, confirming the threshold; a
 separate gather path would regress, so none exists.
+
+Row-slice fan-out.  The dense kernel's cost is its ``np.einsum``
+contraction, and NumPy runs that loop with the GIL released, so the
+stage scores the union on threads: when the union spans more than one
+``refinement_block_for(B, d)`` block it is cut into ``W = min(usable
+CPUs, blocks)`` contiguous near-equal row slices, each running the
+block loop over its own rows into disjoint rows of the shared ``cross``
+matrix, through a :class:`~repro.exec.ShardExecutor` of width ``W``.
+Threads read the fetched union slab in place; nothing is copied.  A
+union that fits one block (a B=1 search at d=128 has an 8192-row auto
+block), the sparse kernel and Rerank stay inline in the calling
+thread.  Every expansion kernel
+is row-independent -- scoring any row slice is bitwise identical to
+slicing the full scoring, the same contract the blocking relies on --
+so the result does not depend on the width or on where slices end.
 """
 
 from __future__ import annotations
 
+import os
+from functools import partial
 from typing import List, Tuple
 
 import numpy as np
 
+from ..exec import ShardExecutor
 from .base import PipelineStage
 from .context import QueryBatchContext
 
@@ -36,6 +54,14 @@ __all__ = ["RefineStage", "build_pairs"]
 #: sentinel for "use the index's live conditioner" (``None`` is a valid
 #: explicit value meaning "no conditioning").
 _UNSET = object()
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, else the host count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API (macOS, Windows)
+        return os.cpu_count() or 1
 
 
 def build_pairs(
@@ -79,13 +105,22 @@ class RefineStage(PipelineStage):
             )
             ctx.scores_of = lambda q, rows: flat[offsets[q] : offsets[q + 1]]
         else:
+            size = ctx.union.size
             block = self.index.config.refinement_block_for(n_queries, vectors.shape[1])
-            cross = np.empty((ctx.union.size, n_queries), dtype=float)
-            for lo in range(0, ctx.union.size, block):
-                hi = min(lo + block, ctx.union.size)
-                cross[lo:hi] = self.score_dense(
-                    vectors[lo:hi], queries, conditioner=conditioner
-                )
+            cross = np.empty((size, n_queries), dtype=float)
+
+            def score_rows(start: int, stop: int) -> None:
+                for lo in range(start, stop, block):
+                    hi = min(lo + block, stop)
+                    cross[lo:hi] = self.score_dense(
+                        vectors[lo:hi], queries, conditioner=conditioner
+                    )
+
+            width = min(_usable_cpus(), -(-size // block))
+            edges = [size * i // width for i in range(width + 1)]
+            ShardExecutor(width).run(
+                [partial(score_rows, lo, hi) for lo, hi in zip(edges, edges[1:])]
+            )
             ctx.scores_of = lambda q, rows: cross[rows, q]
 
     # ------------------------------------------------------------------

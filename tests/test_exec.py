@@ -11,10 +11,14 @@ exactly to the aggregate even when charges race on worker threads.
 
 from __future__ import annotations
 
+import asyncio
+import sys
 import threading
 
 import numpy as np
 import pytest
+
+import repro.pipeline.refine as refine_module
 
 from repro import (
     BrePartitionConfig,
@@ -24,6 +28,7 @@ from repro import (
 )
 from repro.exceptions import InvalidParameterError
 from repro.exec import ShardExecutor
+from repro.serve import MicroBatcher
 from repro.storage import BufferPool, DiskAccessTracker, ShardedDataStore
 from repro.storage.io_stats import IOCostModel
 
@@ -35,6 +40,11 @@ DIM = 12
 K = 5
 # tiny pages (8 points each) so every batch spans several pages per shard
 PAGE_BYTES = 8 * DIM * 8
+#: Refine row-slice widths forced through the CPU-count helper
+REFINE_WIDTHS = (1, 2, 4)
+#: a dense block that divides neither the union nor its slices, so
+#: slices end mid-block and come out uneven
+REFINE_BLOCK = 7
 
 
 def sharded_index(divergence, points, tracker=None, buffer_pool=None, **kwargs):
@@ -176,6 +186,170 @@ class TestParallelParityMatrix:
         for a, b in zip(before, after):
             np.testing.assert_array_equal(a.ids, b.ids)
             np.testing.assert_array_equal(a.divergences, b.divergences)
+
+
+@pytest.fixture
+def refine_pools(monkeypatch):
+    """Record ``(n_workers, n_tasks)`` of every executor Refine builds."""
+    built = []
+
+    class RecordingExecutor(ShardExecutor):
+        def run(self, tasks):
+            built.append((self.n_workers, len(tasks)))
+            return super().run(tasks)
+
+    monkeypatch.setattr(refine_module, "ShardExecutor", RecordingExecutor)
+    return built
+
+
+def force_refine_width(monkeypatch, width):
+    monkeypatch.setattr(refine_module, "_usable_cpus", lambda: width)
+
+
+def count_scored_rows(monkeypatch, index):
+    """Record the row count of every dense-kernel call on ``index``."""
+    refine = index.pipeline.stage("refine")
+    score_dense = refine.score_dense
+    rows = []
+
+    def counting(vectors, queries, **kwargs):
+        rows.append(len(vectors))
+        return score_dense(vectors, queries, **kwargs)
+
+    monkeypatch.setattr(refine, "score_dense", counting)
+    return rows
+
+
+class TestRefineSliceParity:
+    """Refine's dense kernel fans the union's row slices out over
+    threads: any width must be bitwise identical to width 1."""
+
+    @pytest.mark.parametrize("name,divergence", all_decomposable_divergences(DIM))
+    def test_forced_widths_bitwise_identical(
+        self, name, divergence, monkeypatch, refine_pools
+    ):
+        points = points_for(divergence, N_POINTS, DIM, seed=1)
+        queries = points_for(divergence, N_QUERIES, DIM, seed=2)
+        index = sharded_index(
+            divergence, points, refinement_block_size=REFINE_BLOCK
+        )
+        rows = count_scored_rows(monkeypatch, index)
+        for kernel in ("dense", "auto"):
+            index.config.refine_kernel = kernel
+            reference = None
+            for width in REFINE_WIDTHS:
+                force_refine_width(monkeypatch, width)
+                refine_pools.clear()
+                rows.clear()
+                batch = index.search_batch(queries, K)
+                if reference is None:
+                    reference = batch
+                if batch.stats.refine_kernel == "dense":
+                    # more blocks than the widest width: one slice per thread
+                    union = sum(rows)
+                    assert union % REFINE_BLOCK != 0
+                    assert union > max(REFINE_WIDTHS) * REFINE_BLOCK
+                    assert refine_pools == [(width, width)]
+                else:
+                    assert refine_pools == []
+                assert batch.stats.refine_kernel == reference.stats.refine_kernel
+                assert batch.stats.pages_read == reference.stats.pages_read
+                for want, got in zip(reference, batch):
+                    np.testing.assert_array_equal(want.ids, got.ids)
+                    np.testing.assert_array_equal(want.divergences, got.divergences)
+
+    def test_slice_exception_propagates(self, monkeypatch, refine_pools):
+        divergence = SquaredEuclidean()
+        points = points_for(divergence, N_POINTS, DIM, seed=1)
+        queries = points_for(divergence, N_QUERIES, DIM, seed=2)
+        index = sharded_index(
+            divergence,
+            points,
+            refinement_block_size=REFINE_BLOCK,
+            refine_kernel="dense",
+        )
+        force_refine_width(monkeypatch, 1)
+        want = index.search_batch(queries, K)
+        force_refine_width(monkeypatch, 2)
+        refine_pools.clear()
+        refine = index.pipeline.stage("refine")
+        score_dense = refine.score_dense
+        calls = []
+        lock = threading.Lock()
+
+        def failing(vectors, queries, **kwargs):
+            with lock:
+                calls.append(len(vectors))
+                fail = len(calls) == 3
+            if fail:
+                raise RuntimeError("slice kernel failed")
+            return score_dense(vectors, queries, **kwargs)
+
+        monkeypatch.setattr(refine, "score_dense", failing)
+        with pytest.raises(RuntimeError, match="slice kernel failed"):
+            index.search_batch(queries, K)
+        assert refine_pools == [(2, 2)]
+        # the failure left nothing behind: the next batch is exact
+        monkeypatch.setattr(refine, "score_dense", score_dense)
+        got = index.search_batch(queries, K)
+        for a, b in zip(want, got):
+            np.testing.assert_array_equal(a.ids, b.ids)
+            np.testing.assert_array_equal(a.divergences, b.divergences)
+
+    def test_one_block_union_stays_inline(self, monkeypatch, refine_pools):
+        divergence = SquaredEuclidean()
+        points = points_for(divergence, N_POINTS, DIM, seed=1)
+        queries = points_for(divergence, N_QUERIES, DIM, seed=2)
+        # the auto block (~2^20 elements / max(B, d) rows) holds the
+        # whole 240-row union
+        index = sharded_index(divergence, points, refine_kernel="dense")
+        rows = count_scored_rows(monkeypatch, index)
+        force_refine_width(monkeypatch, 4)
+        index.search_batch(queries, K)
+        index.search(queries[0], K)
+        assert len(rows) == 2  # one block per batch
+        assert refine_pools == [(1, 1), (1, 1)]
+
+    def test_overlapped_serving_at_width_2_matches_direct_search(
+        self, monkeypatch, refine_pools
+    ):
+        divergence = SquaredEuclidean()
+        points = points_for(divergence, N_POINTS, DIM, seed=1)
+        queries = points_for(divergence, 32, DIM, seed=2)
+        index = sharded_index(
+            divergence,
+            points,
+            refinement_block_size=REFINE_BLOCK,
+            refine_kernel="dense",
+        )
+        force_refine_width(monkeypatch, 1)
+        reference = [index.search(query, K) for query in queries]
+        force_refine_width(monkeypatch, 2)
+        refine_pools.clear()
+
+        async def serve():
+            async with MicroBatcher(
+                index,
+                K,
+                max_batch_size=8,
+                max_wait_ms=50.0,
+                max_concurrent_batches=4,
+            ) as batcher:
+                return await asyncio.gather(
+                    *(batcher.search(query) for query in queries)
+                )
+
+        # switch threads often so slices and batches interleave finely
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            served = asyncio.run(asyncio.wait_for(serve(), timeout=60.0))
+        finally:
+            sys.setswitchinterval(interval)
+        for want, got in zip(reference, served):
+            np.testing.assert_array_equal(want.ids, got.ids)
+            np.testing.assert_array_equal(want.divergences, got.divergences)
+        assert refine_pools and all(pool == (2, 2) for pool in refine_pools)
 
 
 class TestConcurrentAccounting:

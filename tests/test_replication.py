@@ -6,7 +6,8 @@ placement), replicas share the primary's fileno (logical page identity),
 and serving stays *bitwise* equal to a fault-free twin -- results and
 page accounting both -- with any ``R - 1`` replicas of each shard dead.
 Routing is health-aware: consecutive permanent failures open a disk's
-circuit breaker (skipped by failover until its half-open probe), and
+circuit breaker (skipped by failover until its half-open probe, unless
+no other replica can serve), and
 ``hedge_after_ms`` races a slow replica against the next live one.
 """
 
@@ -333,6 +334,22 @@ class TestShardHealthRegistry:
         health.record_failure(3)
         assert health.state(3) == "closed"  # never two in a row
 
+    def test_injected_clock_times_the_open_period(self):
+        now = [10.0]
+        health = ShardHealthRegistry(
+            failure_threshold=1, reset_seconds=5.0, clock=lambda: now[0]
+        )
+        health.record_failure(0)
+        now[0] = 14.999
+        assert health.state(0) == "open"
+        now[0] = 15.0
+        assert health.state(0) == "half_open"
+        health.record_failure(0)  # failed probe: a fresh timer from 15.0
+        now[0] = 19.999
+        assert health.state(0) == "open"
+        now[0] = 20.0
+        assert health.state(0) == "half_open"
+
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
             ShardHealthRegistry(failure_threshold=0)
@@ -375,6 +392,86 @@ class TestFailoverRouting:
         result = ex.call_with_failover([(0, lambda: "served")])
         assert result == "served"
         assert health.state(0) == "closed"  # the success closed it
+
+    def test_open_breaker_probed_when_every_admitted_replica_fails(self):
+        """Regression: disk 0's breaker is open and, by a held clock,
+        nowhere near its reset; disk 1, the only admitted replica, is
+        killed.  The skipped replica is probed before the call gives
+        up, serves, and its breaker closes."""
+        health = ShardHealthRegistry(
+            failure_threshold=1, reset_seconds=1.0, clock=lambda: 0.0
+        )
+        health.record_failure(0)
+        assert health.state(0) == "open"
+        ex = self._executor(health=health)
+        calls = []
+
+        def healed():
+            calls.append(0)
+            return "served"
+
+        def killed():
+            calls.append(1)
+            raise ShardUnavailableError("disk 1 killed")
+
+        failovers = []
+        result = ex.call_with_failover(
+            [(0, healed), (1, killed)], on_failover=lambda: failovers.append(1)
+        )
+        assert result == "served"
+        assert calls == [1, 0]  # the admitted replica first, then the probe
+        assert len(failovers) == 2  # disk 0 skipped, disk 1 failed
+        assert health.state(0) == "closed"
+        assert health.state(1) == "open"
+
+    def test_every_replica_failing_still_raises(self):
+        health = ShardHealthRegistry(
+            failure_threshold=1, reset_seconds=1.0, clock=lambda: 0.0
+        )
+        health.record_failure(0)
+        ex = self._executor(health=health)
+
+        def dead(disk):
+            def fn():
+                raise ShardUnavailableError(f"disk {disk} dead")
+
+            return fn
+
+        with pytest.raises(ShardUnavailableError, match="disk 0 dead"):
+            ex.call_with_failover([(0, dead(0)), (1, dead(1))])
+
+    def test_open_replica_serves_end_to_end_inside_its_reset(self):
+        """The chaos-soak shape through real searches: disk 0 is killed
+        (its breaker opens), healed while the breaker is still open,
+        then disk 1 is broken.  Every shard still has a servable
+        replica, so every response is exact and none fails."""
+        points = points_for(DIV, 64, 8, seed=31)
+        queries = points_for(DIV, 3, 8, seed=32)
+        clean = _replicated(DIV, points, n_shards=2)
+        injector = FaultInjector(seed=0)
+        index = _replicated(
+            DIV,
+            points,
+            injector=injector,
+            n_shards=2,
+            breaker_threshold=1,
+            breaker_reset_s=3600.0,
+        )
+        want = clean.search_batch(queries, 4)
+        injector.set_plan(shard=0, fail_after_n_calls=0)
+        index.search_batch(queries, 4)
+        assert index.shard_health.state(0) == "open"
+
+        injector.heal(0)
+        injector.set_plan(shard=1, broken=True)
+        got = index.search_batch(queries, 4)
+        assert got.failures == {}
+        for w, g in zip(want.results, got.results):
+            _assert_same(g, w)
+        for q, w in zip(queries, want.results):
+            _assert_same(index.search(q, 4), w)
+        assert index.shard_health.state(0) == "closed"
+        assert index.shard_health.state(1) == "open"
 
     def test_breaker_opens_end_to_end_and_probe_closes_it(self):
         """Scripted arc through real searches: a mid-run kill opens the
