@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -211,6 +212,19 @@ class BrePartitionConfig:
             raise InvalidParameterError(
                 "sparse_density_threshold must be in [0, 1]"
             )
+        # NaN compares False to every bound, so the range checks below
+        # cannot see it: reject it first
+        for name in (
+            "simulated_io_iops",
+            "io_backoff_ms",
+            "io_backoff_cap_ms",
+            "breaker_reset_s",
+            "hedge_after_ms",
+            "wal_group_commit_ms",
+        ):
+            value = getattr(self, name)
+            if value is not None and math.isnan(value):
+                raise InvalidParameterError(f"{name} must not be NaN")
         if self.simulated_io_iops is not None and self.simulated_io_iops <= 0:
             raise InvalidParameterError(
                 "simulated_io_iops must be positive (or None to disable)"

@@ -59,6 +59,7 @@ from .snapshot import (
     IndexSnapshot,
     MergeStats,
     RecoveryStats,
+    RefineOperands,
 )
 from .transforms import SubspaceTransforms
 
@@ -75,6 +76,22 @@ def _check_k(k, n_live: int) -> int:
     if not 1 <= k <= n_live:
         raise InvalidParameterError(f"k must be in [1, {n_live}], got {k}")
     return int(k)
+
+
+def _check_point_id(point_id) -> int:
+    """``point_id`` as an int: an integral ``int`` or ``np.integer``.
+
+    ``int()`` would truncate ``2.7`` to id 2 and read ``True`` as id 1,
+    so a float, a bool or anything else is rejected, not converted.
+    """
+    if isinstance(point_id, (bool, np.bool_)) or not isinstance(
+        point_id, (int, np.integer)
+    ):
+        raise InvalidParameterError(
+            f"point ids must be integers, got {point_id!r} "
+            f"({type(point_id).__name__})"
+        )
+    return int(point_id)
 
 
 class BrePartitionIndex:
@@ -161,7 +178,10 @@ class BrePartitionIndex:
     def build(self, points: np.ndarray) -> "BrePartitionIndex":
         """Precompute everything: partitioning, BB-forest, tuples, layout."""
         start = time.perf_counter()
-        points = np.atleast_2d(np.asarray(points, dtype=float))
+        # the index's own copy: every published base, its merges and
+        # checkpoints, and the zero-copy scan fetch read these rows, so
+        # a caller reusing its array must not reach them
+        points = np.array(points, dtype=float, ndmin=2)
         n, d = points.shape
         if n < 2:
             raise InvalidParameterError("need at least two points to index")
@@ -197,6 +217,7 @@ class BrePartitionIndex:
         # SED/Mahalanobis, scaling for ISD/KL).  Conditioning is
         # elementwise, so every block and pair layout scores bitwise alike.
         conditioner = self.divergence.refinement_conditioner(points)
+        operands = RefineOperands.compute(self.divergence, conditioner, points)
         with self._mutate_lock:
             self._publish(
                 BaseState(
@@ -208,6 +229,7 @@ class BrePartitionIndex:
                     transforms=transforms,
                     points=points,
                     refine_conditioner=conditioner,
+                    refine_operands=operands,
                 )
             )
             self._delta = DeltaBuffer(d)
@@ -313,6 +335,7 @@ class BrePartitionIndex:
                         transforms=base.transforms,
                         points=base.points,
                         refine_conditioner=base.refine_conditioner,
+                        refine_operands=base.refine_operands,
                         global_ids=base.global_ids,
                         dead_rows=base.dead_rows,
                     )
@@ -362,7 +385,7 @@ class BrePartitionIndex:
             if point_id is None:
                 pid = self._next_id
             else:
-                pid = int(point_id)
+                pid = _check_point_id(point_id)
                 if pid < 0:
                     raise InvalidParameterError("point ids must be non-negative")
             if self._is_live_locked(pid):
@@ -385,7 +408,7 @@ class BrePartitionIndex:
         dropped outright.
         """
         self._require_built()
-        pid = int(point_id)
+        pid = _check_point_id(point_id)
         with self._mutate_lock:
             if not self._is_live_locked(pid):
                 raise InvalidParameterError(f"point id {pid} is not a live point")
@@ -502,6 +525,7 @@ class BrePartitionIndex:
             leaf_capacity=self.config.leaf_capacity_for(points.shape[1]),
             rng=self.rng,
         ).build(points)
+        conditioner = self.divergence.refinement_conditioner(points)
         return BaseState(
             epoch=base.epoch + 1,
             partitioning=partitioning,
@@ -510,7 +534,10 @@ class BrePartitionIndex:
             datastore=self._make_datastore(points, forest),
             transforms=SubspaceTransforms(self.divergence, partitioning, points),
             points=points,
-            refine_conditioner=self.divergence.refinement_conditioner(points),
+            refine_conditioner=conditioner,
+            refine_operands=RefineOperands.compute(
+                self.divergence, conditioner, points
+            ),
             global_ids=gids,
         )
 
@@ -527,11 +554,15 @@ class BrePartitionIndex:
             forest = base.forest.extended(points)
             datastore = base.datastore.extended(cut.points)
             transforms = base.transforms.extended(cut.points)
+            operands = base.refine_operands.extended(
+                self.divergence, base.refine_conditioner, cut.points
+            )
         else:
             points = base.points
             forest = base.forest
             datastore = base.datastore
             transforms = base.transforms
+            operands = base.refine_operands
         gids = np.concatenate([base.global_ids, cut.ids])
         dead = None
         if dead_mask is not None and dead_mask.any():
@@ -551,6 +582,7 @@ class BrePartitionIndex:
             # sides of the expansion identically, so reusing the old one
             # keeps old *and* new rows exact
             refine_conditioner=base.refine_conditioner,
+            refine_operands=operands,
             global_ids=gids,
             dead_rows=dead,
         )
@@ -688,6 +720,7 @@ class BrePartitionIndex:
                         transforms=base.transforms,
                         points=base.points,
                         refine_conditioner=base.refine_conditioner,
+                        refine_operands=base.refine_operands,
                         global_ids=base_gids,
                     )
                 )

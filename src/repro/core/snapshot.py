@@ -8,9 +8,10 @@ on, in the classic LSM shape:
   Inserts append to a versioned op log (and a live-id map); deletes land
   in a tombstone set.  The frozen index is never touched by a mutation.
 * :class:`BaseState` -- one immutable published build of the frozen
-  index (partitioning, forest, datastore, transforms, conditioner) plus
-  pin accounting.  A search pins the base it opened with; a background
-  merge waits for old pins to drain before declaring the swap complete.
+  index (partitioning, forest, datastore, transforms, conditioner and
+  the Refine operands derived from them) plus pin accounting.  A
+  search pins the base it opened with; a background merge waits for
+  old pins to drain before declaring the swap complete.
 * :class:`IndexSnapshot` -- the ``(frozen base, delta version)`` pair
   one search runs against.  Captured atomically under the index's
   mutation lock, so a search overlapping an insert sees exactly one of
@@ -39,6 +40,7 @@ from ..exceptions import InvalidParameterError
 __all__ = [
     "BaseState",
     "DeltaBuffer",
+    "RefineOperands",
     "DeltaView",
     "IndexSnapshot",
     "MergeStats",
@@ -182,6 +184,54 @@ class DeltaBuffer:
             )
 
 
+class RefineOperands:
+    """What Refine reads of a frozen base that no query changes.
+
+    ``rows`` are the base's points in row order after the refinement
+    conditioner (the points themselves when there is none); ``terms``
+    are the divergence's
+    :meth:`~repro.divergences.base.DecomposableBregmanDivergence.point_terms`
+    of those rows.  Conditioning is elementwise and every point term is
+    a row reduction, so any row slice or gather of these arrays is
+    bitwise what conditioning and reducing that slice or gather would
+    give -- which is why a base computes them once when it is published
+    and Refine reads them instead of re-deriving them per batch.
+    """
+
+    __slots__ = ("rows", "terms")
+
+    def __init__(self, rows: np.ndarray, terms: Tuple[np.ndarray, ...]) -> None:
+        self.rows = rows
+        self.terms = tuple(terms)
+
+    @classmethod
+    def compute(cls, divergence, conditioner, points: np.ndarray) -> "RefineOperands":
+        """Condition ``points`` and reduce them to their point terms.
+
+        The terms are reduced in row chunks of about 2^20 elements, so
+        the elementwise temporaries stay a few MB whatever the base's
+        size; by row independence the result is bitwise the same.
+        """
+        rows = conditioner.transform(points) if conditioner is not None else points
+        chunk = max(1, (1 << 20) // max(1, rows.shape[1]))
+        parts = [
+            divergence.point_terms(rows[lo : lo + chunk])
+            for lo in range(0, max(1, rows.shape[0]), chunk)
+        ]
+        return cls(rows, tuple(np.concatenate(terms) for terms in zip(*parts)))
+
+    def extended(
+        self, divergence, conditioner, new_points: np.ndarray
+    ) -> "RefineOperands":
+        """These operands with ``new_points``' appended, conditioned
+        under the same (reused) conditioner."""
+        new = RefineOperands.compute(divergence, conditioner, new_points)
+        return RefineOperands(
+            np.vstack([self.rows, new.rows]),
+            tuple(np.concatenate([a, b]) for a, b in zip(self.terms, new.terms)),
+        )
+
+
 class BaseState:
     """One immutable published frozen-index build, plus pin accounting.
 
@@ -193,6 +243,9 @@ class BaseState:
     ``global_ids`` entry is the ``-1`` sentinel, so external-id lookup
     resolves only live rows -- which is what lets a reinserted id merge
     as a new row while its dead predecessor still occupies the old one).
+    ``points`` (frozen rows in row order) are made read-only;
+    ``refine_operands`` are the :class:`RefineOperands` of ``points``
+    under ``refine_conditioner``.
     """
 
     __slots__ = (
@@ -204,6 +257,7 @@ class BaseState:
         "transforms",
         "points",
         "refine_conditioner",
+        "refine_operands",
         "global_ids",
         "dead_rows",
         "identity",
@@ -224,6 +278,7 @@ class BaseState:
         transforms,
         points: np.ndarray,
         refine_conditioner,
+        refine_operands: RefineOperands,
         global_ids: Optional[np.ndarray] = None,
         dead_rows: Optional[np.ndarray] = None,
     ) -> None:
@@ -233,8 +288,10 @@ class BaseState:
         self.forest = forest
         self.datastore = datastore
         self.transforms = transforms
+        points.flags.writeable = False
         self.points = points
         self.refine_conditioner = refine_conditioner
+        self.refine_operands = refine_operands
         n = points.shape[0]
         if global_ids is None:
             global_ids = np.arange(n)

@@ -374,7 +374,72 @@ class DecomposableBregmanDivergence(BregmanDivergence):
         )
         return np.maximum(values, 0.0)
 
-    def cross_divergence(self, points: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    # ------------------------------------------------------------------
+    # expansion kernels (dense and grouped)
+    # ------------------------------------------------------------------
+    #
+    # Both kernels evaluate one inner-product expansion, split three
+    # ways by the subclass contract:
+    #
+    # * point_terms(points) -- row reductions of the points alone;
+    # * _query_terms(queries) -- the contraction operand first (``grad
+    #   f(q)`` up to the sign and scale ``_combine`` applies), then row
+    #   reductions of the queries alone;
+    # * _combine(point, query, cross, dim) -- the expression joining
+    #   them with the per-pair contraction ``cross`` of the points with
+    #   that operand.
+    #
+    # The dense kernel broadcasts the terms over an ``(n, B)`` matrix and
+    # contracts with ``np.einsum("nj,bj->nb")``; the grouped kernel
+    # gathers them per pair and contracts with ``pair_contract``.  Bitwise
+    # parity between the two holds because (a) every term is a row
+    # reduction, identical whether computed on the full arrays, on
+    # gathered rows or once ahead of time (``point_terms=``), (b) the
+    # bucketed ``pair_contract`` reduces the same contiguous axis with
+    # the same accumulation order as the dense entry, and (c) both feed
+    # one ``_combine``, so the operations and their order are shared by
+    # construction.
+
+    def point_terms(self, points: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Per-point terms of the expansion kernels: ``(sum phi(x),)``.
+
+        Row reductions of ``points`` alone, so a caller scoring one fixed
+        point set against many query batches computes them once and
+        passes them back through ``point_terms=``.  Row-independent: the
+        terms of a row slice or gather are, bit for bit, the same slice
+        or gather of the whole set's terms.
+        """
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        return (np.sum(self.phi(points), axis=1),)
+
+    def _query_terms(self, queries: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Contraction operand ``grad f(q)``, then ``sum phi(q)`` and
+        ``<grad f(q), q>``."""
+        grad_q = self.phi_prime(queries)
+        return (
+            grad_q,
+            np.sum(self.phi(queries), axis=1),
+            np.einsum("bj,bj->b", grad_q, queries),
+        )
+
+    def _combine(
+        self,
+        point: Sequence[np.ndarray],
+        query: Sequence[np.ndarray],
+        cross: np.ndarray,
+        dim: int,
+    ) -> np.ndarray:
+        """Raw (unclamped) ``f(x) - f(q) - <x, grad f(q)> + <grad f(q), q>``."""
+        (sum_phi_x,) = point
+        sum_phi_q, qdot = query
+        return sum_phi_x - sum_phi_q - cross + qdot
+
+    def cross_divergence(
+        self,
+        points: np.ndarray,
+        queries: np.ndarray,
+        point_terms: tuple[np.ndarray, ...] | None = None,
+    ) -> np.ndarray:
         """All-pairs ``D_f(x_i, q_b)`` as one matrixised ``(n, B)`` kernel.
 
         The inner-product expansion
@@ -384,6 +449,9 @@ class DecomposableBregmanDivergence(BregmanDivergence):
         moves all transcendental work (``phi``/``phi'``) to per-point
         and per-query vectors -- ``O((n + B) d)`` -- leaving a single
         ``O(n B d)`` sum-of-products contraction per pair.
+        ``point_terms`` are :meth:`point_terms` of exactly these
+        ``points``, computed ahead of time (a frozen base's cache); the
+        result is bitwise the same as computing them here.
 
         Contract: column ``b`` is *bitwise* identical for any query
         subset -- ``cross_divergence(points, queries)[:, b] ==
@@ -399,57 +467,16 @@ class DecomposableBregmanDivergence(BregmanDivergence):
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
         queries = np.atleast_2d(np.asarray(queries, dtype=float))
-        grad_q = self.phi_prime(queries)
-        values = (
-            np.sum(self.phi(points), axis=1)[:, None]
-            - np.sum(self.phi(queries), axis=1)[None, :]
-            - np.einsum("nj,bj->nb", points, grad_q)
-            + np.einsum("bj,bj->b", grad_q, queries)[None, :]
+        if point_terms is None:
+            point_terms = self.point_terms(points)
+        grad_q, *query_terms = self._query_terms(queries)
+        values = self._combine(
+            [term[:, None] for term in point_terms],
+            [term[None, :] for term in query_terms],
+            np.einsum("nj,bj->nb", points, grad_q),
+            points.shape[1],
         )
         return np.maximum(values, 0.0)
-
-    # ------------------------------------------------------------------
-    # grouped (sparse) kernel
-    # ------------------------------------------------------------------
-    #
-    # Bitwise contract with the dense kernel: for every pair,
-    # cross_divergence_grouped(...)[p] equals
-    # cross_divergence(points, queries)[point_index[p], query_index[p]]
-    # bit-for-bit.  This holds because (a) per-point and per-query terms
-    # are row-reductions, identical whether computed on the full arrays
-    # or gathered rows, (b) the bucketed pair_contract reduces the same
-    # contiguous axis with the same accumulation order as the dense
-    # "nj,bj->nb" entry, and (c) the combining expression applies the
-    # same operations in the same order.  Divergences that override
-    # cross_divergence with a custom expansion MUST override
-    # _grouped_terms/_grouped_pairs to mirror it exactly.
-
-    def _grouped_terms(self, points: np.ndarray, queries: np.ndarray) -> tuple:
-        """Per-point / per-query precomputation for the grouped kernel."""
-        grad_q = self.phi_prime(queries)
-        return (
-            np.sum(self.phi(points), axis=1),
-            np.sum(self.phi(queries), axis=1),
-            grad_q,
-            np.einsum("bj,bj->b", grad_q, queries),
-        )
-
-    def _grouped_pairs(
-        self,
-        terms: tuple,
-        points: np.ndarray,
-        queries: np.ndarray,
-        point_index: np.ndarray,
-        query_index: np.ndarray,
-    ) -> np.ndarray:
-        """Raw (unclamped) pair values, mirroring the dense expression."""
-        point_term, query_term, grad_q, qdot = terms
-        return (
-            point_term[point_index]
-            - query_term[query_index]
-            - pair_contract(points, grad_q, point_index, query_index)
-            + qdot[query_index]
-        )
 
     def cross_divergence_grouped(
         self,
@@ -458,13 +485,15 @@ class DecomposableBregmanDivergence(BregmanDivergence):
         point_index: np.ndarray,
         query_index: np.ndarray,
         pair_block: int | None = None,
+        point_terms: tuple[np.ndarray, ...] | None = None,
     ) -> np.ndarray:
         """Sparse expansion kernel: score only the listed pairs.
 
         Transcendental work stays ``O((n + B) d)`` exactly as in the
-        dense kernel (per-point and per-query terms are computed once);
-        the per-pair cost is one gathered sum-of-products contraction,
-        so total work is ``O(P d)`` for ``P`` pairs instead of the dense
+        dense kernel (per-point and per-query terms are computed once,
+        or passed in as ``point_terms`` of all of ``points``); the
+        per-pair cost is one gathered sum-of-products contraction, so
+        total work is ``O(P d)`` for ``P`` pairs instead of the dense
         ``O(n B d)``.  ``pair_block`` bounds the ``(block, d)`` gather
         slabs (default ~2^20 float64 elements); blocking is an output
         partition and cannot change any value.
@@ -482,12 +511,18 @@ class DecomposableBregmanDivergence(BregmanDivergence):
             return np.empty(0, dtype=float)
         if pair_block is None:
             pair_block = max(1, (1 << 20) // max(1, points.shape[1]))
-        terms = self._grouped_terms(points, queries)
+        if point_terms is None:
+            point_terms = self.point_terms(points)
+        grad_q, *query_terms = self._query_terms(queries)
         out = np.empty(n_pairs, dtype=float)
         for lo in range(0, n_pairs, pair_block):
             hi = min(lo + pair_block, n_pairs)
-            out[lo:hi] = self._grouped_pairs(
-                terms, points, queries, point_index[lo:hi], query_index[lo:hi]
+            pi, qi = point_index[lo:hi], query_index[lo:hi]
+            out[lo:hi] = self._combine(
+                [term[pi] for term in point_terms],
+                [term[qi] for term in query_terms],
+                pair_contract(points, grad_q, pi, qi),
+                points.shape[1],
             )
         return np.maximum(out, 0.0)
 

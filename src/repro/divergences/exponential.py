@@ -13,6 +13,8 @@ configurable cap.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from ..exceptions import DomainError
@@ -20,7 +22,6 @@ from .base import (
     REALS,
     DecomposableBregmanDivergence,
     RefinementConditioner,
-    pair_contract,
 )
 
 __all__ = ["ExponentialDistance"]
@@ -92,41 +93,24 @@ class ExponentialDistance(DecomposableBregmanDivergence):
         values = np.sum(np.exp(points) - (points - y + 1.0) * ey, axis=1)
         return np.maximum(values, 0.0)
 
-    def cross_divergence(self, points: np.ndarray, queries: np.ndarray) -> np.ndarray:
-        # Expansion sum(e^x - x e^q + (q - 1) e^q): the exponentials move
-        # to per-point / per-query vectors; the only per-pair work is the
-        # <x, e^q> contraction.
+    # Expansion sum(e^x - x e^q + (q - 1) e^q): the exponentials move to
+    # per-point / per-query vectors; the only per-pair work is the
+    # <x, e^q> contraction.
+    def point_terms(self, points: np.ndarray) -> tuple[np.ndarray, ...]:
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        queries = np.atleast_2d(np.asarray(queries, dtype=float))
-        eq = np.exp(queries)
-        values = (
-            np.sum(np.exp(points), axis=1)[:, None]
-            - np.einsum("nj,bj->nb", points, eq)
-            + np.einsum("bj,bj->b", queries - 1.0, eq)[None, :]
-        )
-        return np.maximum(values, 0.0)
+        return (np.sum(np.exp(points), axis=1),)
 
-    # grouped kernel: mirrors the e^x - <x, e^q> + <q-1, e^q> expansion
-    # above term-for-term so pair values match the dense matrix bitwise.
-    def _grouped_terms(self, points: np.ndarray, queries: np.ndarray) -> tuple:
+    def _query_terms(self, queries: np.ndarray) -> tuple[np.ndarray, ...]:
         eq = np.exp(queries)
-        return (
-            np.sum(np.exp(points), axis=1),
-            eq,
-            np.einsum("bj,bj->b", queries - 1.0, eq),
-        )
+        return (eq, np.einsum("bj,bj->b", queries - 1.0, eq))
 
-    def _grouped_pairs(
+    def _combine(
         self,
-        terms: tuple,
-        points: np.ndarray,
-        queries: np.ndarray,
-        point_index: np.ndarray,
-        query_index: np.ndarray,
+        point: Sequence[np.ndarray],
+        query: Sequence[np.ndarray],
+        cross: np.ndarray,
+        dim: int,
     ) -> np.ndarray:
-        sum_ex, eq, qconst = terms
-        return (
-            sum_ex[point_index]
-            - pair_contract(points, eq, point_index, query_index)
-            + qconst[query_index]
-        )
+        (sum_ex,) = point
+        (qconst,) = query
+        return sum_ex - cross + qconst

@@ -29,7 +29,6 @@ from .base import (
     BregmanDivergence,
     DecomposableBregmanDivergence,
     RefinementConditioner,
-    pair_contract,
 )
 
 __all__ = ["DiagonalMahalanobis", "MahalanobisDivergence"]
@@ -90,40 +89,27 @@ class DiagonalMahalanobis(DecomposableBregmanDivergence):
         diff = points - np.asarray(y, dtype=float)
         return 0.5 * np.einsum("ij,ij,j->i", diff, diff, self.weights)
 
-    def cross_divergence(self, points: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    # Weighted expansion 1/2 (||x||_w^2 - 2<x, w q> + ||q||_w^2).
+    def point_terms(self, points: np.ndarray) -> tuple[np.ndarray, ...]:
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        queries = np.atleast_2d(np.asarray(queries, dtype=float))
-        values = (
-            np.einsum("nj,nj,j->n", points, points, self.weights)[:, None]
-            - 2.0 * np.einsum("nj,bj->nb", points, self.weights * queries)
-            + np.einsum("bj,bj,j->b", queries, queries, self.weights)[None, :]
-        )
-        return np.maximum(0.5 * values, 0.0)
+        return (np.einsum("nj,nj,j->n", points, points, self.weights),)
 
-    # grouped kernel: mirrors the weighted expansion above term-for-term
-    # (including the trailing 0.5 scale) for bitwise pair parity.
-    def _grouped_terms(self, points: np.ndarray, queries: np.ndarray) -> tuple:
+    def _query_terms(self, queries: np.ndarray) -> tuple[np.ndarray, ...]:
         return (
-            np.einsum("nj,nj,j->n", points, points, self.weights),
             self.weights * queries,
             np.einsum("bj,bj,j->b", queries, queries, self.weights),
         )
 
-    def _grouped_pairs(
+    def _combine(
         self,
-        terms: tuple,
-        points: np.ndarray,
-        queries: np.ndarray,
-        point_index: np.ndarray,
-        query_index: np.ndarray,
+        point: Sequence[np.ndarray],
+        query: Sequence[np.ndarray],
+        cross: np.ndarray,
+        dim: int,
     ) -> np.ndarray:
-        xx, weighted_q, qq = terms
-        values = (
-            xx[point_index]
-            - 2.0 * pair_contract(points, weighted_q, point_index, query_index)
-            + qq[query_index]
-        )
-        return 0.5 * values
+        (xx,) = point
+        (qq,) = query
+        return 0.5 * (xx - 2.0 * cross + qq)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"DiagonalMahalanobis(d={self.weights.size})"

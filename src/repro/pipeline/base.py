@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import time
+import weakref
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -12,7 +13,24 @@ from .context import QueryBatchContext
 __all__ = ["PipelineStage", "SearchPipeline"]
 
 
-class PipelineStage:
+class _IndexRef:
+    """Holds the owning index weakly and reads it back as ``.index``.
+
+    The index owns its pipeline and stages; strong back-references would
+    make every index a reference cycle that only the cyclic collector
+    frees, so an index its last user dropped would keep its datastore,
+    forest and Refine operands resident until the next full collection.
+    """
+
+    def __init__(self, index) -> None:
+        self._index_ref = weakref.ref(index)
+
+    @property
+    def index(self):
+        return self._index_ref()
+
+
+class PipelineStage(_IndexRef):
     """One transformation of a :class:`QueryBatchContext`.
 
     Stages are small, stateless-between-calls objects bound to one
@@ -24,9 +42,6 @@ class PipelineStage:
     #: key under which the driver records this stage's wall time.
     name: str = "stage"
 
-    def __init__(self, index) -> None:
-        self.index = index
-
     def run(self, ctx: QueryBatchContext) -> None:  # pragma: no cover - interface
         raise NotImplementedError
 
@@ -37,7 +52,7 @@ class PipelineStage:
         return snap.datastore if snap is not None else self.index.datastore
 
 
-class SearchPipeline:
+class SearchPipeline(_IndexRef):
     """Run the stage list over a context, timing each stage.
 
     The default stage list is Plan -> Fetch -> Refine -> Rerank (built
@@ -47,7 +62,7 @@ class SearchPipeline:
     """
 
     def __init__(self, index, stages: Optional[Sequence[PipelineStage]] = None) -> None:
-        self.index = index
+        super().__init__(index)
         if stages is None:
             stages = default_stages(index)
         self.stages: List[PipelineStage] = list(stages)

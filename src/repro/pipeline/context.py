@@ -103,6 +103,10 @@ class QueryBatchContext:
     #: ``scores_of(q, rows)`` -> query ``q``'s expansion scores in
     #: candidate order.
     scores_of: Optional[Callable[[int, np.ndarray], np.ndarray]] = None
+    #: the dense kernel's query-major ``(B, union)`` score matrix (row
+    #: ``q`` is query ``q``'s scores in union order); ``None`` after the
+    #: sparse kernel.
+    scores: Optional[np.ndarray] = None
 
     # -- Rerank outputs -------------------------------------------------
     #: per-query ``(top_ids, divergences)`` pairs, ascending divergence.

@@ -2,6 +2,17 @@
 
 The stage charges the batch's candidate-page union once (the coalescing
 primitive of the batch engine) and peeks the union's vectors I/O-free.
+A candidate array several queries share (Plan's scan route hands every
+query the same one) is marked and charged once, not once per query.
+
+Zero-copy full scan.  On an unsharded store, when the union is every
+frozen row (``union.size == n_frozen``: the scan route on a snapshot
+with no dead rows), ``ctx.vectors`` is the pinned base's own
+row-ordered points -- read-only, and the index's private copy -- instead
+of a ``peek`` copy of the whole file.  They are bitwise
+``peek(arange(n))`` -- the store lays out exactly those rows -- and the
+pages are charged exactly as before.  A sharded
+store, dead rows or a forest walk's partial union still peek.
 On a :class:`~repro.storage.sharded.ShardedDataStore` the charge-and-peek
 fans out one :class:`~repro.exec.ShardExecutor` task per shard: each
 task charges its shard's slice of the page union, sleeps out any modeled
@@ -27,6 +38,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
+from ..storage.datastore import distinct_groups
 from ..storage.io_stats import IOCostModel
 from ..storage.sharded import ShardedDataStore
 from .base import PipelineStage
@@ -40,7 +52,7 @@ def union_rows(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Candidate union (sorted global ids) and global-id -> row map."""
     member = np.zeros(n_points, dtype=bool)
-    for ids in candidates:
+    for ids in distinct_groups(candidates):
         member[ids] = True
     union = np.flatnonzero(member)
     row_of = np.empty(n_points, dtype=int)
@@ -104,7 +116,13 @@ class FetchStage(PipelineStage):
                 iops=index.config.simulated_io_iops,
             )
             time.sleep(io_model.seconds_for(charged))
-        ctx.vectors = store.peek(ctx.union)
+        snap = ctx.snapshot
+        if snap is not None and ctx.union.size == snap.n_frozen:
+            # every frozen row, in row order: the base's own (read-only)
+            # points are exactly what peek would copy out of the file
+            ctx.vectors = snap.base.points
+        else:
+            ctx.vectors = store.peek(ctx.union)
 
     # ------------------------------------------------------------------
     # sharded fan-out
@@ -214,9 +232,10 @@ class FetchStage(PipelineStage):
 
         The dead shard's union rows never arrived, so they are filled
         with 0.5 -- inside the domain of every supported divergence --
-        purely to keep the dense refinement kernel finite; no surviving
-        query reads those scores, because a query touching a failed
-        shard is excluded from the result set entirely.
+        rather than left uninitialised; no surviving query reads them
+        (Refine scores from the base's cached operands, and Rerank skips
+        a query touching a failed shard, which is excluded from the
+        result set entirely).
         """
         ctx.shard_errors = dict(failed)
         for s in failed:

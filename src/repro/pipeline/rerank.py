@@ -9,6 +9,17 @@ per-query reference loop all converge on one :meth:`RerankStage.topk`
 implementation, which is what makes their tie-breaking -- and therefore
 their bitwise parity -- identical by construction.
 
+Batch-wide first pass.  When every query's candidates are the one
+union array (Plan's scan route) on an identity snapshot and the dense
+kernel left its query-major ``(B, union)`` matrix, the first
+preselection pass runs for the whole batch at once: one
+``np.partition(..., axis=1)`` finds each query's ``buffer``-th smallest
+score, and where exactly ``buffer`` scores are at most it, that mask is
+the set ``top_k_stable`` would pick.  Any query whose boundary ties
+overflow the buffer, or whose adaptive noise-floor check fails, falls
+back to :meth:`RerankStage.topk` itself, so tie order and the adaptive
+buffer are unchanged.
+
 Snapshot-aware reranking: when the context's snapshot carries a
 non-identity row -> external-id mapping, candidates are reordered by
 ascending *external* id before the top-k, so positional tie-breaking
@@ -21,6 +32,8 @@ selection, which keeps every merged result bitwise equal to the oracle.
 """
 
 from __future__ import annotations
+
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -56,6 +69,11 @@ def top_k_stable(values: np.ndarray, k: int) -> np.ndarray:
     return pool[np.argsort(values[pool], kind="stable")][:k_eff]
 
 
+def _first_buffer(n_candidates: int, k: int) -> int:
+    """Preselection buffer of :meth:`RerankStage.topk`'s first pass."""
+    return min(n_candidates, max(2 * k, k + _RERANK_BUFFER))
+
+
 class RerankStage(PipelineStage):
     name = "rerank"
 
@@ -71,11 +89,15 @@ class RerankStage(PipelineStage):
         else:
             frozen_pairs = []
             vectors, row_of = ctx.vectors, ctx.row_of
+            shared = self._topk_shared(ctx)
             for q, ids in enumerate(ctx.candidates):
                 if q in ctx.query_errors:
                     # doomed by a dead shard: its union rows hold filler,
                     # never score them
                     frozen_pairs.append(None)
+                    continue
+                if q in shared:
+                    frozen_pairs.append(shared[q])
                     continue
                 if ids.size == 0:
                     frozen_pairs.append(empty)
@@ -98,6 +120,60 @@ class RerankStage(PipelineStage):
         ]
         for q in ctx.query_errors:
             ctx.delta_candidates[q] = 0
+
+    def _topk_shared(
+        self, ctx: QueryBatchContext
+    ) -> Dict[int, Tuple[np.ndarray, np.ndarray]]:
+        """:meth:`topk` for a batch whose queries share one candidate array.
+
+        Applies when every query's candidates are the union itself
+        (Plan's scan route), the snapshot is an identity one (candidate
+        order is id order) and the dense kernel left its query-major
+        matrix: query ``q``'s scores are then row ``q`` of
+        ``ctx.scores``, whole and contiguous.  One
+        ``np.partition(axis=1)`` finds every row's ``buffer``-th
+        smallest score; where exactly ``buffer`` scores are at most it,
+        that mask is the set ``top_k_stable(scores, buffer)`` selects,
+        so the first pass of :meth:`topk` -- direct rescoring and the
+        noise-floor check -- runs on it unchanged.  A query whose
+        boundary ties overflow the buffer, or whose noise-floor check
+        would grow it, is left out of the returned map and goes through
+        :meth:`topk` itself, so tie order and the adaptive buffer are
+        exactly :meth:`topk`'s.
+        """
+        scores, candidates, snap = ctx.scores, ctx.candidates, ctx.snapshot
+        if scores is None or ctx.query_errors:
+            return {}
+        if snap is not None and not snap.base.identity:
+            return {}
+        ids = candidates[0]
+        if ids.size != ctx.union.size or any(c is not ids for c in candidates):
+            return {}
+        size = ids.size
+        buffer = _first_buffer(size, ctx.k)
+        if buffer < size:
+            kth = np.partition(scores, buffer - 1, axis=1)[:, buffer - 1]
+            within = scores <= kth[:, None]
+            fits = np.count_nonzero(within, axis=1) == buffer
+        divergence = self.index.divergence
+        shared = {}
+        for q in range(ctx.n_queries):
+            row = scores[q]
+            if buffer < size:
+                if not fits[q]:
+                    continue
+                pre = np.flatnonzero(within[q])
+            else:
+                pre = np.arange(size)
+            exact = divergence.batch_divergence(ctx.vectors[pre], ctx.queries[q])
+            if buffer < size:
+                noise = float(np.max(np.abs(row[pre] - exact)))
+                boundary = float(np.max(row[pre]))
+                if int(np.count_nonzero(row <= boundary + noise)) > buffer:
+                    continue
+            order = top_k_stable(exact, ctx.k)
+            shared[q] = (ids[pre][order], exact[order])
+        return shared
 
     def _id_ordered(self, ids: np.ndarray, scores: np.ndarray, snap, gather):
         """Reorder candidates so ``topk`` ties break by ascending external id.
@@ -168,7 +244,7 @@ class RerankStage(PipelineStage):
         if ids.size == 0:
             return (np.empty(0, dtype=int), np.empty(0, dtype=float))
         divergence = self.index.divergence
-        buffer = min(ids.size, max(2 * k, k + _RERANK_BUFFER))
+        buffer = _first_buffer(ids.size, k)
         while True:
             pre = np.sort(top_k_stable(scores, buffer))
             exact = divergence.batch_divergence(gather(pre), query)

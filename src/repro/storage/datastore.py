@@ -13,7 +13,7 @@ holds ``page_size_bytes // (8 * d)`` float64 vectors.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from ..exceptions import InvalidParameterError, StorageError
 from .buffer_pool import BufferPool
 from .io_stats import DiskAccessTracker, QueryScope
 
-__all__ = ["Address", "DataStore"]
+__all__ = ["Address", "DataStore", "distinct_groups"]
 
 _next_fileno = 0
 
@@ -31,6 +31,22 @@ def _allocate_fileno() -> int:
     global _next_fileno
     _next_fileno += 1
     return _next_fileno
+
+
+def distinct_groups(groups: Sequence[Sequence[int]]) -> List[Sequence[int]]:
+    """``groups`` with repeats of one array object dropped, in order.
+
+    Scan-routed queries share a single candidate array; marking its
+    pages or rows once per query would repeat identical work ``B``
+    times for the same result.
+    """
+    seen: Set[int] = set()
+    distinct = []
+    for group in groups:
+        if id(group) not in seen:
+            seen.add(id(group))
+            distinct.append(group)
+    return distinct
 
 
 class Address:
@@ -190,7 +206,7 @@ class DataStore:
         if self.fault is not None:
             self.fault.before_access(self.shard_id)
         touched = np.zeros(self.n_pages, dtype=bool)
-        for ids in id_groups:
+        for ids in distinct_groups(id_groups):
             touched[self._pages[np.asarray(ids, dtype=int)]] = True
         pages = np.flatnonzero(touched)
         charged = 0

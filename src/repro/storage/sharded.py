@@ -50,7 +50,7 @@ import numpy as np
 
 from ..exceptions import InvalidParameterError, StorageError
 from .buffer_pool import BufferPool
-from .datastore import Address, DataStore
+from .datastore import Address, DataStore, distinct_groups
 from .io_stats import DiskAccessTracker, QueryScope
 
 __all__ = ["ShardTracker", "ShardedDataStore"]
@@ -313,7 +313,7 @@ class ShardedDataStore:
         per shard.
         """
         local_groups: List[List[np.ndarray]] = [[] for _ in range(self.n_shards)]
-        for ids in id_groups:
+        for ids in distinct_groups(id_groups):
             for s, _, _, local in self._route(np.asarray(ids, dtype=int)):
                 local_groups[s].append(local)
         return local_groups

@@ -199,6 +199,23 @@ class TestValidation:
                 SquaredEuclidean(), BrePartitionConfig(n_partitions=1)
             ).build(np.zeros((1, 4)))
 
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ("simulated_io_iops", r"simulated_io_iops must not be NaN"),
+            ("io_backoff_ms", r"io_backoff_ms must not be NaN"),
+            ("io_backoff_cap_ms", r"io_backoff_cap_ms must not be NaN"),
+            ("breaker_reset_s", r"breaker_reset_s must not be NaN"),
+            ("hedge_after_ms", r"hedge_after_ms must not be NaN"),
+            ("wal_group_commit_ms", r"wal_group_commit_ms must not be NaN"),
+        ],
+    )
+    def test_config_rejects_nan(self, field, message):
+        # NaN passes every `<= 0` / `< 0` range check, so each field
+        # needs its own rejection (a NaN iops used to reach time.sleep)
+        with pytest.raises(InvalidParameterError, match=message):
+            BrePartitionConfig(**{field: float("nan")})
+
     def test_config_validation(self):
         with pytest.raises(InvalidParameterError):
             BrePartitionConfig(n_partitions=0)

@@ -161,6 +161,62 @@ class TestGroupedKernelParity:
         )
 
 
+class TestPrecomputedPointTerms:
+    """``point_terms=`` computed ahead of time -- for the whole point set,
+    or sliced/gathered out of a larger set's terms the way Refine reads
+    a frozen base's cache -- must score bitwise like letting each
+    kernel compute them itself."""
+
+    SELECTIONS = (slice(None), slice(7, 41), np.array([3, 59, 0, 17, 17, 44]))
+
+    @pytest.mark.parametrize("name,divergence", all_decomposable_divergences(DIM))
+    def test_dense_whole_and_sliced(self, name, divergence):
+        points = points_for(divergence, 60, DIM, seed=11)
+        queries = points_for(divergence, N_QUERIES, DIM, seed=12)
+        terms = divergence.point_terms(points)
+        for sel in self.SELECTIONS:
+            rows = points[sel]
+            np.testing.assert_array_equal(
+                divergence.cross_divergence(
+                    rows, queries, point_terms=tuple(t[sel] for t in terms)
+                ),
+                divergence.cross_divergence(rows, queries),
+            )
+
+    @pytest.mark.parametrize("name,divergence", all_decomposable_divergences(DIM))
+    def test_grouped_whole_and_sliced(self, name, divergence):
+        points = points_for(divergence, 60, DIM, seed=13)
+        queries = points_for(divergence, N_QUERIES, DIM, seed=14)
+        terms = divergence.point_terms(points)
+        rng = np.random.default_rng(15)
+        for sel in self.SELECTIONS:
+            rows = points[sel]
+            pi = rng.integers(0, rows.shape[0], size=120)
+            qi = np.sort(rng.integers(0, N_QUERIES, size=120))
+            for pair_block in (None, 7):
+                np.testing.assert_array_equal(
+                    divergence.cross_divergence_grouped(
+                        rows,
+                        queries,
+                        pi,
+                        qi,
+                        pair_block=pair_block,
+                        point_terms=tuple(t[sel] for t in terms),
+                    ),
+                    divergence.cross_divergence_grouped(
+                        rows, queries, pi, qi, pair_block=pair_block
+                    ),
+                )
+
+    @pytest.mark.parametrize("name,divergence", all_decomposable_divergences(DIM))
+    def test_terms_are_row_independent(self, name, divergence):
+        points = points_for(divergence, 60, DIM, seed=16)
+        whole = divergence.point_terms(points)
+        parts = [divergence.point_terms(points[lo : lo + 7]) for lo in range(0, 60, 7)]
+        for term, pieces in zip(whole, zip(*parts)):
+            np.testing.assert_array_equal(term, np.concatenate(pieces))
+
+
 class TestBoundaryInputs:
     """Near-zero coordinates stress the log/ratio terms of KL and ISD."""
 

@@ -187,6 +187,219 @@ class TestPlanRouting:
             BrePartitionConfig(plan_route="walk")
 
 
+def capture_fetch(index):
+    """Splice an observer between Fetch and Refine; returns the list of
+    ``(vectors, union)`` pairs it sees, one per batch."""
+    seen = []
+
+    class FetchProbe(PipelineStage):
+        name = "fetch_probe"
+
+        def run(self, ctx: QueryBatchContext) -> None:
+            seen.append((ctx.vectors, ctx.union))
+
+    stages = default_stages(index)
+    index.pipeline = SearchPipeline(
+        index, stages[:2] + [FetchProbe(index)] + stages[2:]
+    )
+    return seen
+
+
+class TestZeroCopyFetch:
+    """On an unsharded store a union of every frozen row is handed to
+    Refine and Rerank as a read-only view of the base's points; any
+    other union (sharded store, dead rows, a forest walk) is still a
+    ``peek`` copy.  Page charging is the same either way."""
+
+    def _search(self, index, queries):
+        seen = capture_fetch(index)
+        batch = index.search_batch(queries, K)
+        (vectors, union), = seen
+        store = index.datastore
+        np.testing.assert_array_equal(vectors, store.peek(union))
+        assert batch.stats.pages_read == store.count_pages_of(union)
+        assert batch.stats.pages_coalesced == store.count_pages_of(union)
+        return batch, vectors, union
+
+    def test_full_scan_reads_base_points_in_place(self):
+        divergence = ItakuraSaito()
+        points = points_for(divergence, N_POINTS, DIM, seed=1)
+        queries = points_for(divergence, N_QUERIES, DIM, seed=2)
+        index = build_index(
+            divergence, points, page_size_bytes=PAGE_BYTES, plan_route="scan"
+        )
+        batch, vectors, union = self._search(index, queries)
+        assert union.size == N_POINTS
+        assert not vectors.flags.writeable
+        assert np.shares_memory(vectors, index._base.points)
+        with pytest.raises(ValueError, match="read-only"):
+            vectors[0, 0] = 1.0
+        assert batch.stats.pages_read == index.datastore.n_pages
+        assert_oracle_parity(divergence, points, queries, batch)
+
+    def test_sharded_store_still_peeks(self):
+        divergence = ItakuraSaito()
+        points = points_for(divergence, N_POINTS, DIM, seed=1)
+        queries = points_for(divergence, N_QUERIES, DIM, seed=2)
+        index = build_index(
+            divergence,
+            points,
+            n_shards=4,
+            page_size_bytes=PAGE_BYTES,
+            plan_route="scan",
+        )
+        batch, vectors, union = self._search(index, queries)
+        assert union.size == N_POINTS
+        assert vectors.flags.writeable
+        assert not np.shares_memory(vectors, index._base.points)
+        assert batch.stats.pages_read == index.datastore.n_pages
+        assert_oracle_parity(divergence, points, queries, batch)
+
+    def test_dead_rows_still_peek(self):
+        divergence = ItakuraSaito()
+        points = points_for(divergence, N_POINTS, DIM, seed=1)
+        queries = points_for(divergence, N_QUERIES, DIM, seed=2)
+        index = build_index(
+            divergence, points, page_size_bytes=PAGE_BYTES, plan_route="scan"
+        )
+        index.delete(5)
+        batch, vectors, union = self._search(index, queries)
+        assert union.size == N_POINTS - 1
+        assert vectors.flags.writeable
+        assert not np.shares_memory(vectors, index._base.points)
+        live = np.delete(np.arange(N_POINTS), 5)
+        for query, result in zip(queries, batch):
+            order, divs = brute_force_knn(divergence, points[live], query, K)
+            np.testing.assert_array_equal(result.ids, live[order])
+            np.testing.assert_array_equal(result.divergences, divs)
+
+    def test_forest_walk_still_peeks(self):
+        rng = np.random.default_rng(7)
+        divergence = SquaredEuclidean()
+        cluster = rng.normal(scale=0.01, size=(120, DIM))
+        shell = rng.normal(size=(120, DIM))
+        shell *= 50.0 / np.linalg.norm(shell, axis=1, keepdims=True)
+        points = np.vstack([cluster, shell])
+        queries = rng.normal(scale=0.01, size=(N_QUERIES, DIM))
+        index = build_index(divergence, points, page_size_bytes=PAGE_BYTES)
+        batch, vectors, union = self._search(index, queries)
+        assert union.size < N_POINTS
+        assert not np.shares_memory(vectors, index._base.points)
+        assert_oracle_parity(divergence, points, queries, batch)
+
+
+class TestSharedSelection:
+    """Rerank's batch-wide first preselection pass (one shared candidate
+    array, identity snapshot, dense scores) must select exactly what the
+    per-query ``topk`` would; a query whose boundary ties overflow the
+    buffer falls back to ``topk`` itself."""
+
+    @staticmethod
+    def _duplicated(divergence, seed):
+        """200 points plus 30 copies each of 8 of them: a query sitting
+        on a copied point ties 31 ways at the top, across both the k=5
+        boundary and the first buffer's max(2k, k + 16) = 21."""
+        base = points_for(divergence, 200, DIM, seed=seed)
+        copies = np.repeat(base[:8], 30, axis=0)
+        return np.vstack([base, copies])
+
+    @staticmethod
+    def _count_topk(monkeypatch, index):
+        rerank = index.pipeline.stage("rerank")
+        topk = rerank.topk
+        calls = []
+
+        def counting(ids, scores, query, k, gather):
+            calls.append(int(ids.size))
+            return topk(ids, scores, query, k, gather)
+
+        monkeypatch.setattr(rerank, "topk", counting)
+        return calls
+
+    @pytest.mark.parametrize("n_queries", [1, 64])
+    @pytest.mark.parametrize("name,divergence", all_decomposable_divergences(DIM))
+    def test_tied_boundaries_fall_back_bitwise(
+        self, name, divergence, n_queries, monkeypatch
+    ):
+        points = self._duplicated(divergence, seed=3)
+        others = points_for(divergence, 64, DIM, seed=4)
+        # query 0 (and every even query of the big batch) sits on a
+        # copied point; the odd ones are ordinary queries
+        queries = np.where(
+            (np.arange(64) % 2 == 0)[:, None], points[np.arange(64) % 8], others
+        )[:n_queries]
+        index = build_index(
+            divergence,
+            points,
+            page_size_bytes=PAGE_BYTES,
+            plan_route="scan",
+            refine_kernel="dense",
+        )
+        calls = self._count_topk(monkeypatch, index)
+        batch = index.search_batch(queries, K)
+        assert {r.stats.plan_route for r in batch} == {"scan"}
+        assert_oracle_parity(divergence, points, queries, batch)
+        # every tied query went through topk; at B=64 the rest did not
+        assert len(calls) >= (n_queries + 1) // 2
+        if n_queries > 1:
+            assert len(calls) < n_queries
+
+    def test_noise_floor_failure_falls_back(self, monkeypatch):
+        """Clusters at +-1e5: the expansion's noise floor is of the order
+        of the gaps between neighbours, so some queries whose first
+        buffer fits exactly still fail the noise-floor check.  Those,
+        like the queries whose boundary ties overflow, must go through
+        ``topk``; the others take the shared pass."""
+        rng = np.random.default_rng(4)
+        near = rng.normal(1e5, 1e-2, size=(40, DIM))
+        far = rng.normal(-1e5, 1e-2, size=(40, DIM))
+        points = np.concatenate([near, far])
+        queries = np.vstack([near[:8], far[:8]]) + 3e-3
+        index = build_index(
+            SquaredEuclidean(), points, n_partitions=2, plan_route="scan"
+        )
+        seen = []
+
+        class ScoreProbe(PipelineStage):
+            name = "score_probe"
+
+            def run(self, ctx: QueryBatchContext) -> None:
+                seen.append(ctx.scores)
+
+        stages = default_stages(index)
+        index.pipeline = SearchPipeline(
+            index, stages[:3] + [ScoreProbe(index)] + stages[3:]
+        )
+        calls = self._count_topk(monkeypatch, index)
+        batch = index.search_batch(queries, 3)
+        assert_oracle_parity(SquaredEuclidean(), points, queries, batch, k=3)
+        (scores,) = seen
+        buffer = 19  # max(2k, k + 16) at k = 3
+        kth = np.partition(scores, buffer - 1, axis=1)[:, buffer - 1]
+        overflow = np.count_nonzero(scores <= kth[:, None], axis=1) > buffer
+        assert len(calls) > int(overflow.sum())  # some failed the noise floor
+        assert len(calls) < len(queries)  # and some took the shared pass
+
+    @pytest.mark.parametrize("name,divergence", all_decomposable_divergences(DIM))
+    def test_shared_pass_equals_per_query_topk(self, name, divergence, monkeypatch):
+        """Forcing every query through ``topk`` (by failing the shared
+        pass's eligibility) changes no bit of any result."""
+        points = points_for(divergence, N_POINTS, DIM, seed=5)
+        queries = points_for(divergence, 64, DIM, seed=6)
+        index = build_index(
+            divergence, points, page_size_bytes=PAGE_BYTES, plan_route="scan"
+        )
+        shared = index.search_batch(queries, K)
+        rerank = index.pipeline.stage("rerank")
+        monkeypatch.setattr(rerank, "_topk_shared", lambda ctx: {})
+        calls = self._count_topk(monkeypatch, index)
+        looped = index.search_batch(queries, K)
+        assert len(calls) == 64
+        for a, b in zip(shared, looped):
+            np.testing.assert_array_equal(a.ids, b.ids)
+            np.testing.assert_array_equal(a.divergences, b.divergences)
+
+
 class TestChooseKernelEdges:
     """Satellite: the adaptive dispatcher's degenerate and boundary cases."""
 

@@ -551,6 +551,147 @@ class TestServingMutations:
         assert stats.n_merges == 0 and index.epoch == 0 and index.delta_ops == 1
 
 
+class TestMutationIdValidation:
+    """Point ids are integral ``int`` / ``np.integer`` values, never
+    bools; everything else is rejected before any state changes (``int()``
+    used to truncate ``2.7`` to id 2 and read ``True`` as id 1)."""
+
+    @staticmethod
+    def _apply(index, via, op, point_id):
+        point = np.full(6, 0.25)
+        if via == "index":
+            if op == "insert":
+                return index.insert(point, point_id=point_id)
+            return index.delete(point_id)
+
+        async def drive():
+            async with MicroBatcher(index, k=3, merge_threshold=None) as batcher:
+                if op == "insert":
+                    return await batcher.insert(point, point_id)
+                return await batcher.delete(point_id)
+
+        return asyncio.run(drive())
+
+    @pytest.mark.parametrize("via", ["index", "batcher"])
+    @pytest.mark.parametrize(
+        "op, point_id, message",
+        [
+            ("delete", 2.7, r"point ids must be integers, got 2\.7 \(float\)"),
+            ("delete", 2.0, r"point ids must be integers, got 2\.0 \(float\)"),
+            ("delete", True, r"point ids must be integers, got True \(bool\)"),
+            ("delete", np.bool_(True), r"point ids must be integers, got .*bool"),
+            ("delete", "x", r"point ids must be integers, got 'x' \(str\)"),
+            ("delete", None, r"point ids must be integers, got None \(NoneType\)"),
+            ("delete", np.float64(2.0), r"point ids must be integers, got .*float64"),
+            ("delete", 10**6, r"point id 1000000 is not a live point"),
+            ("insert", 300.6, r"point ids must be integers, got 300\.6 \(float\)"),
+            ("insert", False, r"point ids must be integers, got False \(bool\)"),
+            ("insert", "7", r"point ids must be integers, got '7' \(str\)"),
+            ("insert", np.float32(300), r"point ids must be integers, got .*float32"),
+            ("insert", -1, r"point ids must be non-negative"),
+            ("insert", 4, r"point id 4 already present"),
+        ],
+    )
+    def test_rejects(self, via, op, point_id, message):
+        _, index = _build(SquaredEuclidean(), n=32)
+        with pytest.raises(InvalidParameterError, match=message):
+            self._apply(index, via, op, point_id)
+        assert index.updates_applied == 0
+        assert index.n_points == 32
+
+    @pytest.mark.parametrize("via", ["index", "batcher"])
+    def test_numpy_integers_accepted(self, via):
+        _, index = _build(SquaredEuclidean(), n=32)
+        pid = self._apply(index, via, "insert", np.int32(300))
+        assert pid == 300 and type(pid) is int
+        self._apply(index, via, "delete", np.int64(2))
+        assert index.updates_applied == 2
+        assert index.n_points == 32  # one in, one out
+        assert index.snapshot().delta.tombstones == frozenset({2})
+
+
+# ----------------------------------------------------------------------
+# Refine operands cached on every published base
+# ----------------------------------------------------------------------
+
+
+def _assert_operands_recomputed(index):
+    """The published base's cached Refine operands are bitwise what
+    conditioning its points and reducing them afresh gives."""
+    base = index._base
+    conditioner = base.refine_conditioner
+    rows = conditioner.transform(base.points) if conditioner is not None else base.points
+    cached = base.refine_operands
+    np.testing.assert_array_equal(cached.rows, rows)
+    want = index.divergence.point_terms(rows)
+    assert len(cached.terms) == len(want)
+    for got, expected in zip(cached.terms, want):
+        np.testing.assert_array_equal(got, expected)
+
+
+class TestBuildOwnsPoints:
+    def test_caller_reusing_its_array_changes_nothing(self):
+        """The index copies the build input and freezes its rows: a
+        caller overwriting its array afterwards changes neither search
+        results (the scan route reads the base's rows in place) nor what
+        a merge rebuilds from."""
+        div = SquaredEuclidean()
+        points = points_for(div, 48, 6, seed=5)
+        original = points.copy()
+        index = BrePartitionIndex(
+            div,
+            BrePartitionConfig(
+                n_partitions=2, seed=0, page_size_bytes=512, plan_route="scan"
+            ),
+        ).build(points)
+        assert not index._base.points.flags.writeable
+        points[:] = points_for(div, 48, 6, seed=6)
+        live = _live_map(original)
+        queries = points_for(div, 3, 6, seed=7)
+        _assert_matches_oracle(index, div, live, queries, 4)
+        live[int(index.insert(original[0] * 1.01))] = original[0] * 1.01
+        index.merge("rebuild")
+        _assert_matches_oracle(index, div, live, queries, 4)
+
+
+class TestRefineOperandsLifecycle:
+    @pytest.mark.parametrize("name,div", all_decomposable_divergences(6))
+    def test_every_published_base(self, name, div, tmp_path):
+        wal_path = str(tmp_path / "index.wal")
+        points, index = _build(div, wal_path=wal_path)
+        _assert_operands_recomputed(index)
+
+        for vec in points_for(div, 5, 6, seed=41):
+            index.insert(vec)
+        index.delete(3)
+        conditioner = index._base.refine_conditioner
+        assert index.merge("extend").mode == "extend"
+        # extend appends the new rows' operands under the reused conditioner
+        assert index._base.refine_conditioner is conditioner
+        assert index._base.n_frozen_dead == 1
+        _assert_operands_recomputed(index)
+
+        index.delete(0)
+        index.delete(50)
+        assert index.merge("rebuild").mode == "rebuild"
+        _assert_operands_recomputed(index)
+
+        operands = index._base.refine_operands
+        index.reshard(2)
+        assert index._base.refine_operands is operands  # reused
+        _assert_operands_recomputed(index)
+
+        index.insert(points_for(div, 1, 6, seed=42)[0])
+        index.delete(7)
+        recovered = BrePartitionIndex.recover(wal_path, div, config=index.config)
+        _assert_operands_recomputed(recovered)
+        queries = points_for(div, 3, 6, seed=43)
+        want, got = index.search_batch(queries, 4), recovered.search_batch(queries, 4)
+        for a, b in zip(want, got):
+            np.testing.assert_array_equal(a.ids, b.ids)
+            np.testing.assert_array_equal(a.divergences, b.divergences)
+
+
 # ----------------------------------------------------------------------
 # linearizability under concurrent serving, mutation and merging
 # ----------------------------------------------------------------------
